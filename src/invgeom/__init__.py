@@ -77,8 +77,6 @@ from .presheaf import (
     MetricPresheaf,
     Semilattice,
     cayley_presheaf,
-    ext_distance,
-    presheaf_leq,
     validate_presheaf,
 )
 from .report import CheckResult, Violation

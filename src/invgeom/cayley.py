@@ -3,7 +3,8 @@
 Edges are oriented (s, g s, g).  Within an L-class, edges come in inverse
 pairs, so breadth-first search over a symmetric generating set computes
 the path metric of each Schützenberger graph; across L-classes the metric
-is infinite.
+is infinite.  Schützenberger components are the classes of mutual
+reachability under left multiplication by generators and idempotents.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .extmetric import INFINITE, ExtendedMetric, all_pairs_bfs
+from .extmetric import UNREACHED, ExtendedMetric, all_pairs_bfs, bfs
 from .monoid import mulclose
 
 
@@ -47,8 +48,7 @@ def symmetrize(monoid, gens):
 
 def is_quasi_generating(monoid, gens):
     """True iff gens together with all idempotents generate the monoid."""
-    seeds = set(gens) | set(monoid.idempotents)
-    return len(mulclose(monoid.product, seeds)) == monoid.order
+    return quasi_generation_witness(monoid, gens) is None
 
 
 def quasi_generation_witness(monoid, gens):
@@ -57,6 +57,18 @@ def quasi_generation_witness(monoid, gens):
     reached = mulclose(monoid.product, seeds)
     missing = sorted(set(range(monoid.order)) - reached)
     return missing[0] if missing else None
+
+
+def symmetric_quasi_generators(monoid, gens):
+    """The symmetrized set; PreconditionError unless it quasi-generates."""
+    sym = symmetrize(monoid, gens)
+    witness = quasi_generation_witness(monoid, sym)
+    if witness is not None:
+        raise PreconditionError(
+            f"not quasi-generating: element {witness} unreachable",
+            witness=(witness,),
+        )
+    return sym
 
 
 def cayley_graph(monoid, gens):
@@ -68,53 +80,18 @@ def cayley_graph(monoid, gens):
     return LabeledDigraph(monoid.order, tuple(edges))
 
 
-def strongly_connected_components(num_vertices, adj):
-    """Kosaraju's algorithm, iterative; returns a component id per vertex."""
-    radj = [[] for _ in range(num_vertices)]
-    for u in range(num_vertices):
-        for v in adj[u]:
-            radj[v].append(u)
-    visited = [False] * num_vertices
-    order = []
-    for start in range(num_vertices):
-        if visited[start]:
-            continue
-        visited[start] = True
-        stack = [(start, iter(adj[start]))]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if not visited[nxt]:
-                    visited[nxt] = True
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    comp = [-1] * num_vertices
-    label = 0
-    for node in reversed(order):
-        if comp[node] != -1:
-            continue
-        comp[node] = label
-        stack = [node]
-        while stack:
-            u = stack.pop()
-            for v in radj[u]:
-                if comp[v] == -1:
-                    comp[v] = label
-                    stack.append(v)
-        label += 1
-    return comp
+def word_successors(monoid, letters, within_class=False):
+    """Successor array of left multiplication: succ[s, j] = letters[j] * s.
 
-
-def _partition_from_ids(ids):
-    groups = {}
-    for v, c in enumerate(ids):
-        groups.setdefault(c, []).append(v)
-    return set(frozenset(g) for g in groups.values())
+    With ``within_class``, a product that leaves the L-class of s is
+    replaced by s itself, so only Schützenberger-graph edges remain.
+    """
+    succ = monoid.product[np.asarray(letters, dtype=np.intp)].T
+    if within_class:
+        dom = monoid.dom_table
+        stay = dom[succ] == dom[:, None]
+        succ = np.where(stay, succ, np.arange(monoid.order)[:, None])
+    return succ
 
 
 def schutzenberger_components(monoid, gens):
@@ -124,15 +101,9 @@ def schutzenberger_components(monoid, gens):
     gens with E(S) do not generate and raises ValidationError.
     """
     letters = sorted(set(gens) | set(monoid.idempotents))
-    adj = [[] for _ in range(monoid.order)]
-    for g in letters:
-        row = monoid.product[g, :]
-        for s in range(monoid.order):
-            t = int(row[s])
-            if t != s:
-                adj[s].append(t)
-    ids = strongly_connected_components(monoid.order, adj)
-    found = _partition_from_ids(ids)
+    reach = word_distances(monoid, letters) != UNREACHED
+    mutual = reach & reach.T
+    found = set(frozenset(np.flatnonzero(row).tolist()) for row in mutual)
     expected = set(frozenset(c) for c in monoid.lclasses)
     if found != expected:
         bad = sorted(found - expected, key=min)[0]
@@ -144,20 +115,6 @@ def schutzenberger_components(monoid, gens):
     return tuple(tuple(sorted(c)) for c in sorted(found, key=min))
 
 
-def _class_adjacency(monoid, letters):
-    """Within-L-class neighbours under left multiplication by letters."""
-    dom = monoid.dom_table
-    adj = [()] * monoid.order
-    for s in range(monoid.order):
-        seen = set()
-        for g in letters:
-            t = monoid.mul(g, s)
-            if t != s and dom[t] == dom[s]:
-                seen.add(t)
-        adj[s] = tuple(sorted(seen))
-    return adj
-
-
 def cayley_metric(monoid, gens, config=None):
     """Path metric of the Schützenberger graphs over a quasi-generating set.
 
@@ -165,15 +122,8 @@ def cayley_metric(monoid, gens, config=None):
     are infinite; the finite components are checked against the L-class
     partition.
     """
-    sym = symmetrize(monoid, gens)
-    witness = quasi_generation_witness(monoid, sym)
-    if witness is not None:
-        raise PreconditionError(
-            f"not quasi-generating: element {witness} unreachable",
-            witness=(witness,),
-        )
-    adj = _class_adjacency(monoid, sym)
-    metric = all_pairs_bfs(monoid.order, lambda u: adj[u])
+    sym = symmetric_quasi_generators(monoid, gens)
+    metric = all_pairs_bfs(word_successors(monoid, sym, within_class=True))
     found = set(frozenset(c) for c in metric.components())
     expected = set(frozenset(c) for c in monoid.lclasses)
     if found != expected:
@@ -185,28 +135,15 @@ def cayley_metric(monoid, gens, config=None):
     )
 
 
-def word_distances(monoid, letters, source):
-    """Minimum word lengths: dist[s] = min k with s = g_k ... g_1 * source.
+def word_distances(monoid, letters):
+    """Minimum word lengths between all elements under left multiplication.
 
-    Independent of the per-L-class search: plain breadth-first search over
-    left multiplication, with no component restriction.
+    Row t, column s is the least k with s = g_k ... g_1 * t over the
+    letters, or UNREACHED.  Unlike ``cayley_metric``, the search has no
+    L-class restriction.
     """
-    dist = np.full(monoid.order, INFINITE, dtype=np.float64)
-    dist[source] = 0.0
-    frontier = [source]
-    d = 0
-    letters = sorted(set(letters))
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for g in letters:
-                v = monoid.mul(g, u)
-                if np.isinf(dist[v]):
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+    everything = np.arange(monoid.order)
+    return bfs(word_successors(monoid, sorted(set(letters))), everything)
 
 
 def bilipschitz_constants(monoid, gens_m, gens_n, config=None):

@@ -8,6 +8,7 @@ Reports are deterministic for a fixed seed and cap.
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import families, fileio
 from .action import cayley_self_action
 from .cayley import cayley_graph, cayley_metric
-from .config import SweepConfig, default_config
+from .config import default_config
 from .errors import InvgeomError, ParseError
 from .geometry import orbit_map_qi, qi_constants, rips_graph
 from .monoid import natural_leq_matrix
@@ -36,16 +37,9 @@ def _add_common(parser):
 
 
 def _config(args):
-    cfg = default_config().with_cap(args.cap_exhaustive)
+    cfg = default_config(args.cap_exhaustive)
     if args.seed is not None:
-        cfg = SweepConfig(
-            assoc_exhaustive_cap=cfg.assoc_exhaustive_cap,
-            assoc_samples=cfg.assoc_samples,
-            triple_exhaustive_cap=cfg.triple_exhaustive_cap,
-            triple_samples=cfg.triple_samples,
-            element_cap=cfg.element_cap,
-            seed=args.seed,
-        )
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -56,6 +50,32 @@ def _parse_gens(text):
         return tuple(int(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
         raise ParseError(f"--gens expects comma-separated indices, got {text!r}")
+
+
+def _radius(args):
+    """--radius as a non-negative Fraction."""
+    try:
+        radius = Fraction(args.radius)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"--radius expects a rational number, got {args.radius!r}")
+    if radius < 0:
+        raise ParseError(f"--radius must be non-negative, got {args.radius!r}")
+    return radius
+
+
+def _basepoint(args, action):
+    """--basepoint checked against the action's points.
+
+    Defaults to the smallest point of the identity fiber.
+    """
+    if args.basepoint is None:
+        return min(action.identity_fiber())
+    if not 0 <= args.basepoint < action.presheaf.num_points:
+        raise ParseError(
+            f"--basepoint {args.basepoint} out of range: the action has "
+            f"{action.presheaf.num_points} points"
+        )
+    return args.basepoint
 
 
 def _load_setup(args, config):
@@ -71,6 +91,11 @@ def _load_setup(args, config):
         monoid, file_gens = fileio.load_monoid_any(args.input, config=config)
         action = None
     gens = _parse_gens(getattr(args, "gens", None))
+    for g in gens or ():
+        if not 0 <= g < monoid.order:
+            raise ParseError(
+                f"--gens index {g} out of range for a monoid of order {monoid.order}"
+            )
     if gens is None:
         gens = file_gens
     if gens is None:
@@ -137,8 +162,7 @@ def cmd_graph(args):
         )
     else:
         act = _self_action(monoid, gens, action, config)
-        x1 = args.basepoint if args.basepoint is not None else min(act.identity_fiber())
-        rips = rips_graph(act, x1, Fraction(args.radius))
+        rips = rips_graph(act, _basepoint(args, act), _radius(args))
         text = fileio.dot_rips(rips, vertex_labels=labels)
     Path(args.out).write_text(text)
     print(f"wrote {args.kind} graph to {args.out}")
@@ -153,8 +177,7 @@ def cmd_metric(args):
         metric = table.metric
     else:
         act = _self_action(monoid, gens, action, config)
-        x1 = args.basepoint if args.basepoint is not None else min(act.identity_fiber())
-        metric = rips_graph(act, x1, Fraction(args.radius)).metric
+        metric = rips_graph(act, _basepoint(args, act), _radius(args)).metric
     labels = [monoid.element_label(s) for s in range(monoid.order)]
     fileio.save_metric(f"{args.out}.json", metric)
     Path(f"{args.out}.txt").write_text(fileio.metric_to_text(metric, labels=labels))
@@ -164,13 +187,14 @@ def cmd_metric(args):
 
 def cmd_verify(args):
     config = _config(args)
+    radius = _radius(args)
     monoid, gens, action = _load_setup(args, config)
     act = _self_action(monoid, gens, action, config)
     checks, passed = run_verification(
         act,
         gens,
-        radius=Fraction(args.radius),
-        basepoint=args.basepoint,
+        radius=radius,
+        basepoint=_basepoint(args, act),
         config=config,
     )
     text = checks_to_text(checks)
@@ -185,10 +209,10 @@ def cmd_verify(args):
 
 def cmd_qi(args):
     config = _config(args)
+    radius = _radius(args)
     monoid, gens, action = _load_setup(args, config)
     act = _self_action(monoid, gens, action, config)
-    x1 = args.basepoint if args.basepoint is not None else min(act.identity_fiber())
-    radius = Fraction(args.radius)
+    x1 = _basepoint(args, act)
     orbit = orbit_map_qi(act, x1, gens, config)
     rips = rips_graph(act, x1, radius)
     word = cayley_metric(monoid, gens, config)
@@ -284,7 +308,6 @@ def build_parser():
                    help="element whose Schützenberger component to export")
     p.add_argument("--radius", default="1")
     p.add_argument("--basepoint", type=int, default=None)
-    p.add_argument("--format", choices=("dot",), default="dot")
     _add_common(p)
     p.set_defaults(func=cmd_graph)
 
@@ -295,7 +318,6 @@ def build_parser():
     p.add_argument("--gens", default=None)
     p.add_argument("--radius", default="1")
     p.add_argument("--basepoint", type=int, default=None)
-    p.add_argument("--format", choices=("matrix",), default="matrix")
     _add_common(p)
     p.set_defaults(func=cmd_metric)
 
@@ -305,7 +327,6 @@ def build_parser():
     p.add_argument("--radius", default="1")
     p.add_argument("--basepoint", type=int, default=None)
     p.add_argument("--out", default=None, help="report base path")
-    p.add_argument("--format", choices=("report",), default="report")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

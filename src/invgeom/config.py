@@ -3,6 +3,8 @@
 import os
 from dataclasses import dataclass
 
+from .errors import ParseError
+
 ENV_CAP = "INVGEOM_CAP_EXHAUSTIVE"
 
 
@@ -22,21 +24,19 @@ class SweepConfig:
     element_cap: int = 100_000
     seed: int = 0
 
-    def with_cap(self, cap):
-        """Override both exhaustive caps with a single knob."""
-        if cap is None:
-            return self
-        return SweepConfig(
-            assoc_exhaustive_cap=cap,
-            assoc_samples=self.assoc_samples,
-            triple_exhaustive_cap=cap,
-            triple_samples=self.triple_samples,
-            element_cap=self.element_cap,
-            seed=self.seed,
-        )
 
+def default_config(cap=None):
+    """SweepConfig with both exhaustive caps set to one knob.
 
-def default_config():
-    """SweepConfig honouring the cap environment variable, if set."""
-    cap = os.environ.get(ENV_CAP)
-    return SweepConfig().with_cap(int(cap)) if cap else SweepConfig()
+    The knob is ``cap`` when given, else the cap environment variable when
+    set; with neither, the defaults stand.
+    """
+    if cap is None:
+        cap = os.environ.get(ENV_CAP) or None
+    if cap is None:
+        return SweepConfig()
+    try:
+        cap = int(cap)
+    except ValueError:
+        raise ParseError(f"{ENV_CAP} expects an integer, got {cap!r}") from None
+    return SweepConfig(assoc_exhaustive_cap=cap, triple_exhaustive_cap=cap)

@@ -14,10 +14,18 @@ from fractions import Fraction
 import numpy as np
 
 from .action import coboundedness_constant
-from .cayley import cayley_metric, symmetrize
+from .cayley import cayley_metric, word_successors
 from .config import SweepConfig
 from .errors import PreconditionError, TheoremViolationError
-from .extmetric import INFINITE, ExtendedMetric, all_pairs_bfs
+from .extmetric import (
+    INFINITE,
+    UNREACHED,
+    ExtendedMetric,
+    all_pairs_bfs,
+    bfs,
+    pad_adjacency,
+    trace_back,
+)
 from .monoid import mulclose, natural_leq_matrix
 from .report import CheckResult, Violation
 
@@ -29,7 +37,6 @@ class QiReport:
     mult: Fraction                 # multiplicative constant L >= 1
     add: Fraction                  # additive constant C >= 0
     coarse_radius: object          # int, or math.inf if not coarsely onto
-    components_match: bool
     order_preserving: bool | None = None
 
     def bounds_hold(self, mapped, da, db):
@@ -151,15 +158,17 @@ def extract_generators(a, x1, t):
     displacement = table[orbit, orbit[dom]]
     gens = tuple(int(s) for s in np.flatnonzero(displacement <= threshold))
     gen_set = frozenset(gens)
+    starts = np.unique(orbit[dom])
+    level, parent, column = bfs(p.successors, starts, parents=True)
     certs = []
     for s in range(mon.order):
-        start = int(orbit[dom[s]])
+        row = int(np.searchsorted(starts, orbit[dom[s]]))
         end = int(orbit[s])
-        path = p.shortest_path(start, end)
-        if path is None:
+        if level[row, end] == UNREACHED:
             raise TheoremViolationError(
                 f"orbit points of {s} and dom({s}) lie in different fibers"
             )
+        path = trace_back(parent, column, row, end)[0]
         if len(path) > displacement[s] + 2:
             raise TheoremViolationError(
                 f"fiber path for {s} longer than distance + 2"
@@ -246,7 +255,6 @@ def qi_constants(mapped, da, db):
         mult=best[0],
         add=best[1],
         coarse_radius=radius,
-        components_match=True,
         order_preserving=None,
     )
 
@@ -280,7 +288,6 @@ def orbit_map_qi(a, x1, gens, config=None):
         mult=base.mult,
         add=base.add,
         coarse_radius=base.coarse_radius,
-        components_match=True,
         order_preserving=ordered,
     )
 
@@ -301,7 +308,7 @@ def orbit_inequalities(a, x1, gens, config=None):
     dom = mon.dom_table
     disp = table[orbit, orbit[dom]]
     word = cm.metric.table[np.arange(mon.order), dom]
-    paths = _word_paths(mon, sym)
+    words = _shortest_words(mon, sym, within_class=True)
     out = []
     for s in range(mon.order):
         if word[s] > disp[s] + 2:
@@ -312,7 +319,7 @@ def orbit_inequalities(a, x1, gens, config=None):
                     f"word distance {word[s]} exceeds displacement {disp[s]} + 2",
                 )
             )
-        letters = paths(int(dom[s]), s)
+        letters = words[s]
         if letters is None:
             out.append(
                 Violation("word-vs-displacement", (s,), "no word reaches s")
@@ -348,14 +355,14 @@ def factorization_step_bounds(a, x1, gens, samples=200, seed=0, config=None):
     table = p.metric.table
     orbit = a.act[x1, :]
     dom = mon.dom_table
-    adj_letters = _word_paths(mon, sym)
+    words = _shortest_words(mon, sym, within_class=True)
     rng = np.random.default_rng(seed)
     idem = mon.idempotents
     out = []
     order = rng.permutation(mon.order)[: min(samples, mon.order)]
     for s in order:
         s = int(s)
-        letters = adj_letters(int(dom[s]), s)
+        letters = words[s]
         if letters is None:
             continue
         v = int(dom[s])
@@ -387,37 +394,6 @@ def factorization_step_bounds(a, x1, gens, samples=200, seed=0, config=None):
     return out
 
 
-def _word_paths(monoid, letters):
-    """Letter sequences realising shortest words within each L-class."""
-    dom = monoid.dom_table
-
-    def path(source, target):
-        if dom[source] != dom[target]:
-            return None
-        parent = {source: None}
-        frontier = [source]
-        while frontier and target not in parent:
-            nxt = []
-            for u in frontier:
-                for g in letters:
-                    v = monoid.mul(g, u)
-                    if dom[v] == dom[u] and v not in parent:
-                        parent[v] = (u, g)
-                        nxt.append(v)
-            frontier = nxt
-        if target not in parent:
-            return None
-        seq = []
-        node = target
-        while parent[node] is not None:
-            prev, g = parent[node]
-            seq.append(g)
-            node = prev
-        return seq[::-1]
-
-    return path
-
-
 def rips_graph(a, x1, radius):
     """Vertices are elements; s ~ t iff their orbit points are within radius.
 
@@ -441,20 +417,22 @@ def rips_graph(a, x1, radius):
     adjacency = tuple(
         tuple(int(t) for t in np.flatnonzero(close[s])) for s in range(n)
     )
-    metric = all_pairs_bfs(n, lambda u: adjacency[u])
+    metric = all_pairs_bfs(pad_adjacency(adjacency))
     return RipsGraph(radius=radius, adjacency=adjacency, metric=metric)
 
 
 def rips_embedding_bounds(a, x1, rips):
     """Affine bounds between the Rips metric and orbit distances.
 
-    For every finite pair: d_R(s,t) <= d(x1.s, x1.t)/R + 1 and
+    For every finite pair: d_R(s,t) <= d(x1.s, x1.t)/floor(R) + 1 and
     d(x1.s, x1.t) <= R * d_R(s,t), both checked with exact rationals.
-    Returns the list of violations.
+    Orbit distances are integers, so a Rips edge spans at most floor(R);
+    the radius must be at least 1.  Returns the list of violations.
     """
     r = rips.radius
-    if r <= 0:
-        raise PreconditionError("bounds need a positive radius")
+    if r < 1:
+        raise PreconditionError("bounds need a radius of at least 1")
+    step = math.floor(r)
     orbit = np.asarray(a.act[x1, :], dtype=np.intp)
     fiber_d = a.presheaf.metric.table[np.ix_(orbit, orbit)]
     rips_d = rips.metric.table
@@ -473,47 +451,19 @@ def rips_embedding_bounds(a, x1, rips):
             )
             continue
         dr = int(dr)
-        if Fraction(dr) > Fraction(dxy) / r + 1:
+        if Fraction(dr) > Fraction(dxy, step) + 1:
             out.append(
                 Violation(
-                    "rips-upper", (s, t), f"d_R={dr} > {dxy}/{r} + 1"
+                    "rips-upper", (s, t), f"d_R={dr} > {dxy}/{step} + 1"
                 )
             )
         if Fraction(dxy) > r * dr:
             out.append(
                 Violation(
-                    "rips-lipschitz", (s, t), f"d={dxy} > {r} * {dr}"
+                    "rips-lipschitz", (s, t), f"d={dxy} > ({r}) * {dr}"
                 )
             )
     return out
-
-
-def _solve_left_factor(monoid, x, y):
-    """Some f with y = f x, preferring y x^-1; None if no solution exists."""
-    f = monoid.mul(y, monoid.inv(x))
-    if monoid.mul(f, x) == y:
-        return f
-    col = monoid.product[:, x]
-    sols = np.flatnonzero(col == y)
-    return int(sols[0]) if sols.size else None
-
-
-def _word_depths(monoid, letters, source, limit):
-    """Minimum length of a word over ``letters`` mapping source to each element."""
-    depths = {source: 0}
-    frontier = [source]
-    d = 0
-    while frontier and d < limit:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for f in letters:
-                v = monoid.mul(f, u)
-                if v not in depths:
-                    depths[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return depths
 
 
 def validate_metric_predicates(monoid, metric, f1=None, config=None):
@@ -547,33 +497,30 @@ def validate_metric_predicates(monoid, metric, f1=None, config=None):
         data={"separation": gap},
     )
     right_subinvariance = _check_right_subinvariance(monoid, metric, config)
-    pair_factor = {}
-    properness_fail = None
-    for x, y in np.argwhere(fin):
-        x, y = int(x), int(y)
-        if x == y:
-            continue
-        f = _solve_left_factor(monoid, x, y)
-        if f is None:
-            properness_fail = (x, y)
+    product = monoid.product
+    xs, ys = np.nonzero(fin & ~np.eye(n, dtype=bool))
+    factors = product[ys, monoid.inverse[xs]]  # y x^-1, when it solves f x = y
+    fail = None
+    for i in np.flatnonzero(product[factors, xs] != ys):
+        sols = np.flatnonzero(product[:, xs[i]] == ys[i])
+        if not sols.size:
+            fail = i
             break
-        pair_factor[(x, y)] = f
-    if properness_fail:
+        factors[i] = sols[0]
+    # with a failure, only the pairs before it have factors
+    factors, dist = factors[:fail], t[xs[:fail], ys[:fail]]
+    if fail is not None:
         properness = CheckResult(
-            "proper", False, witness=properness_fail
+            "proper", False, witness=(int(xs[fail]), int(ys[fail]))
         )
     else:
-        rmax = metric.max_finite()
-        sizes = {}
-        for r in range(rmax + 1):
-            sizes[r] = len(
-                {f for (x, y), f in pair_factor.items() if t[x, y] <= r}
-            )
+        sizes = {
+            r: len(np.unique(factors[dist <= r]))
+            for r in range(metric.max_finite() + 1)
+        }
         properness = CheckResult("proper", True, data={"factor_counts": sizes})
     if f1 is None:
-        f1 = tuple(
-            sorted({f for (x, y), f in pair_factor.items() if t[x, y] <= 1})
-        )
+        f1 = tuple(int(f) for f in np.unique(factors[dist <= 1]))
     else:
         f1 = tuple(sorted(set(int(f) for f in f1)))
     uniform_properness = _check_uniform_properness(monoid, metric, f1)
@@ -619,24 +566,13 @@ def _check_right_subinvariance(monoid, metric, config):
 
 def _check_uniform_properness(monoid, metric, f1):
     t = metric.table
-    fin = np.isfinite(t)
-    limit = metric.max_finite()
-    for x in range(monoid.order):
-        targets = np.flatnonzero(fin[x])
-        depths = _word_depths(monoid, f1, x, limit)
-        for y in targets:
-            y = int(y)
-            if y == x:
-                continue
-            need = math.ceil(t[x, y])
-            if depths.get(y, math.inf) > need:
-                return CheckResult(
-                    "uniformly-proper",
-                    False,
-                    witness=(x, y),
-                    data={"f1": f1},
-                )
-    return CheckResult("uniformly-proper", True, data={"f1": f1})
+    everything = np.arange(monoid.order)
+    depth = bfs(word_successors(monoid, f1), everything, metric.max_finite())
+    bad = np.argwhere(np.isfinite(t) & ((depth == UNREACHED) | (depth > t)))
+    witness = (int(bad[0][0]), int(bad[0][1])) if bad.size else None
+    return CheckResult(
+        "uniformly-proper", witness is None, witness=witness, data={"f1": f1}
+    )
 
 
 def quasi_generators_from_metric(monoid, metric, f1=None, config=None):
@@ -654,6 +590,7 @@ def quasi_generators_from_metric(monoid, metric, f1=None, config=None):
         )
     letters = report.uniform_properness.data["f1"]
     t = metric.table
+    words = _shortest_words(monoid, letters, limit=metric.max_finite())
     factorizations = {}
     for s in range(monoid.order):
         if monoid.is_idempotent(s):
@@ -663,8 +600,8 @@ def quasi_generators_from_metric(monoid, metric, f1=None, config=None):
             raise PreconditionError(
                 f"element {s} is infinitely far from its dom", witness=(s,)
             )
-        word = _word_to(monoid, letters, monoid.dom(s), s, math.ceil(d))
-        if word is None:
+        word = words[s]
+        if word is None or len(word) > math.ceil(d):
             raise TheoremViolationError(
                 f"no factorization of {s} within {math.ceil(d)} letters",
                 witness=(s,),
@@ -683,29 +620,22 @@ def quasi_generators_from_metric(monoid, metric, f1=None, config=None):
     )
 
 
-def _word_to(monoid, letters, source, target, limit):
-    """A shortest word over letters sending source to target, if within limit."""
-    if source == target:
-        return []
-    parent = {source: None}
-    frontier = [source]
-    d = 0
-    while frontier and d < limit:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for g in letters:
-                v = monoid.mul(g, u)
-                if v not in parent:
-                    parent[v] = (u, g)
-                    nxt.append(v)
-                    if v == target:
-                        seq = []
-                        node = v
-                        while parent[node] is not None:
-                            prev, letter = parent[node]
-                            seq.append(letter)
-                            node = prev
-                        return seq[::-1]
-        frontier = nxt
-    return None
+def _shortest_words(monoid, letters, within_class=False, limit=None):
+    """A shortest word over letters from dom(s) to s, for every element s.
+
+    Words list their letters first-applied first; an element no word
+    reaches within ``limit`` letters gets None.  One search runs from all
+    idempotents at once.  ``within_class`` keeps every prefix in the
+    L-class, so the words trace paths of the Schützenberger graphs.
+    """
+    idem = monoid.idempotents
+    level, parent, column = bfs(
+        word_successors(monoid, letters, within_class), idem, limit, parents=True
+    )
+    rows = np.searchsorted(idem, monoid.dom_table)
+    return [
+        None
+        if level[row, s] == UNREACHED
+        else [int(letters[j]) for j in trace_back(parent, column, row, s)[1]]
+        for s, row in enumerate(rows.tolist())
+    ]

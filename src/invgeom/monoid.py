@@ -232,9 +232,8 @@ def build_from_tables(product, identity, elements=None, labels=None, config=None
 
 def from_table(product, identity, config=None):
     """Monoid from an explicit product table with opaque element indices."""
-    dtype = np.int32 if len(product) < 2**31 - 1 else np.int64
     return build_from_tables(
-        np.array(product, dtype=dtype), identity, config=config
+        np.array(product, dtype=np.int32), identity, config=config
     )
 
 

@@ -11,9 +11,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cayley import quasi_generation_witness, symmetrize
-from .errors import PreconditionError, ValidationError
-from .extmetric import ExtendedMetric, all_pairs_bfs
+from .cayley import symmetric_quasi_generators, word_successors
+from .errors import ValidationError
+from .extmetric import ExtendedMetric, all_pairs_bfs, pad_adjacency
 from .report import Violation
 
 
@@ -66,7 +66,7 @@ class MetricPresheaf:
     restrict: np.ndarray  # (m, k) point index
     edges: tuple          # (u, v, label-or-None), oriented, within fibers
     metric: ExtendedMetric
-    adjacency: tuple      # per point, sorted tuple of in-fiber neighbours
+    successors: np.ndarray  # (m, width) in-fiber neighbours, padded with the point
     point_labels: tuple | None = None
 
     @property
@@ -83,27 +83,6 @@ class MetricPresheaf:
     def leq(self, x, y):
         """x <= y iff x is the restriction of y to x's fiber."""
         return int(self.restrict[y, self.proj[x]]) == int(x)
-
-    def shortest_path(self, x, y):
-        """Vertex list of a geodesic from x to y, or None across fibers."""
-        if self.proj[x] != self.proj[y]:
-            return None
-        parent = {x: None}
-        frontier = [x]
-        while frontier and y not in parent:
-            nxt = []
-            for u in frontier:
-                for v in self.adjacency[u]:
-                    if v not in parent:
-                        parent[v] = u
-                        nxt.append(v)
-            frontier = nxt
-        if y not in parent:
-            return None
-        path = [y]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        return path[::-1]
 
     @cached_property
     def identity_fiber_index(self):
@@ -151,8 +130,8 @@ class MetricPresheaf:
         for u, v, _ in cleaned:
             nbr[u].add(v)
             nbr[v].add(u)
-        adjacency = tuple(tuple(sorted(s)) for s in nbr)
-        metric = all_pairs_bfs(m, lambda u: adjacency[u])
+        successors = pad_adjacency([sorted(s) for s in nbr])
+        metric = all_pairs_bfs(successors)
         for e in range(k):
             pts = np.flatnonzero(proj == e)
             if pts.size and np.any(
@@ -169,7 +148,7 @@ class MetricPresheaf:
             restrict=restrict,
             edges=tuple(cleaned),
             metric=metric,
-            adjacency=adjacency,
+            successors=successors,
             point_labels=point_labels,
         )
 
@@ -244,14 +223,6 @@ def validate_presheaf(p):
     return out
 
 
-def ext_distance(p, x, y):
-    return p.distance(x, y)
-
-
-def presheaf_leq(p, x, y):
-    return p.leq(x, y)
-
-
 def cayley_presheaf(monoid, gens, config=None):
     """The monoid fibered over its idempotents by dom, with L-class fibers.
 
@@ -259,13 +230,7 @@ def cayley_presheaf(monoid, gens, config=None):
     fiber over each idempotent carries the Schützenberger graph on its
     L-class with unit edges.  ``gens`` must be quasi-generating.
     """
-    sym = symmetrize(monoid, gens)
-    witness = quasi_generation_witness(monoid, sym)
-    if witness is not None:
-        raise PreconditionError(
-            f"not quasi-generating: element {witness} unreachable",
-            witness=(witness,),
-        )
+    sym = symmetric_quasi_generators(monoid, gens)
     idem = monoid.idempotents
     local = {e: i for i, e in enumerate(idem)}
     k = len(idem)
@@ -277,14 +242,11 @@ def cayley_presheaf(monoid, gens, config=None):
     n = monoid.order
     proj = np.array([local[monoid.dom(s)] for s in range(n)], dtype=np.int32)
     restrict = monoid.product[:, np.array(idem, dtype=np.intp)].astype(np.int32)
-    dom = monoid.dom_table
-    edges = []
-    for g in sym:
-        row = monoid.product[g, :]
-        for s in range(n):
-            t = int(row[s])
-            if t != s and dom[t] == dom[s]:
-                edges.append((s, t, g))
+    succ = word_successors(monoid, sym, within_class=True)
+    edges = [
+        (int(s), int(succ[s, j]), sym[j])
+        for j, s in zip(*np.nonzero(succ.T != np.arange(n)))
+    ]
     labels = None
     if monoid.elements is not None:
         labels = tuple(f.short() for f in monoid.elements)

@@ -68,31 +68,28 @@ def check_edge_pairing(monoid, letters=None):
 def check_word_metric_agreement(monoid, gens, metric_table=None, config=None):
     """Word search over M agrees with word search over M and E(S) on L-pairs.
 
-    Both searches are plain breadth-first word enumerations, independent
-    of the per-class path metric; the path metric must match them too
-    when provided.
+    Both searches run the shared breadth-first kernel from every element
+    over unrestricted left multiplication, one without and one with the
+    idempotent letters.  The per-L-class path metric, when provided, runs
+    the same kernel on a different graph, its Schützenberger graphs, and
+    must match them.  The searches are unrestricted on purpose: left
+    multiplication never raises dom, so a word that leaves an L-class
+    cannot return to it, and agreement on L-pairs checks exactly that.
     """
     sym = symmetrize(monoid, gens)
     with_idem = sorted(set(sym) | set(monoid.idempotents))
     dom = monoid.dom_table
-    for t in range(monoid.order):
-        pure = word_distances(monoid, sym, t)
-        mixed = word_distances(monoid, with_idem, t)
-        same = dom == dom[t]
-        if not np.array_equal(pure[same], mixed[same]):
-            s = int(np.flatnonzero(same & (pure != mixed))[0])
+    same = dom[:, None] == dom[None, :]
+    pure = word_distances(monoid, sym)
+    others = [(word_distances(monoid, with_idem), {})]
+    if metric_table is not None:
+        others.append((metric_table.T, {"against": "path-metric"}))
+    for other, data in others:
+        bad = np.argwhere(same & (pure != other))  # rows are sources t
+        if bad.size:
+            t, s = bad[0]
             return CheckResult(
-                "word-metric-agreement", False, witness=(s, t)
-            )
-        if metric_table is not None and not np.array_equal(
-            metric_table[same, t], pure[same]
-        ):
-            s = int(np.flatnonzero(same & (metric_table[:, t] != pure))[0])
-            return CheckResult(
-                "word-metric-agreement",
-                False,
-                witness=(s, t),
-                data={"against": "path-metric"},
+                "word-metric-agreement", False, witness=(int(s), int(t)), data=data
             )
     return CheckResult("word-metric-agreement", True)
 

@@ -87,9 +87,9 @@ def test_criterion_2_word_metric_without_idempotents(n, request):
     table = cayley_metric(m, gens).metric.table
     dom = m.dom_table
     pairs = 0
+    pure_from, mixed_from = word_distances(m, sym), word_distances(m, with_idem)
     for t in range(m.order):
-        pure = word_distances(m, sym, t)
-        mixed = word_distances(m, with_idem, t)
+        pure, mixed = pure_from[t], mixed_from[t]
         same = dom == dom[t]
         assert np.array_equal(pure[same], mixed[same])
         assert np.array_equal(table[same, t], pure[same])

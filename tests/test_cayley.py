@@ -19,7 +19,6 @@ from invgeom import (
     trivial_monoid,
     word_distances,
 )
-from invgeom.cayley import strongly_connected_components
 from invgeom.families import chain_semilattice, cyclic_group_table
 
 from conftest import transposition_indices
@@ -55,12 +54,6 @@ def test_cayley_graph_i2(i2, i2_swap):
 def test_edge_count_scales_with_generators(i3, i3_transpositions):
     g = cayley_graph(i3, i3_transpositions)
     assert len(g.edges) == len(i3_transpositions) * i3.order
-
-
-def test_scc_kosaraju_basics():
-    adj = [[1], [0], [0]]
-    ids = strongly_connected_components(3, adj)
-    assert ids[0] == ids[1] != ids[2]
 
 
 def test_schutzenberger_components_i2(i2, i2_swap):
@@ -131,12 +124,25 @@ def test_word_metric_agreement_oracle(fixture, gens_fixture, request):
     sym = symmetrize(m, gens)
     with_idem = sorted(set(sym) | set(m.idempotents))
     table = cayley_metric(m, gens).metric.table
+    pure_from, mixed_from = word_distances(m, sym), word_distances(m, with_idem)
     for t in range(m.order):
-        pure = word_distances(m, sym, t)
-        mixed = word_distances(m, with_idem, t)
+        pure, mixed = pure_from[t], mixed_from[t]
         for s in range(m.order):
             if m.green_L(s, t):
                 assert pure[s] == mixed[s] == table[s, t]
+
+
+def test_word_metric_agreement_catches_tampered_metric(i3, i3_transpositions):
+    from invgeom.verify import check_word_metric_agreement
+
+    table = np.array(cayley_metric(i3, i3_transpositions).metric.table)
+    assert check_word_metric_agreement(i3, i3_transpositions, table).passed
+    s, t = np.argwhere(np.isfinite(table) & (table > 0))[5]
+    table[s, t] += 1
+    result = check_word_metric_agreement(i3, i3_transpositions, table)
+    assert not result.passed
+    assert result.witness == (s, t)
+    assert result.data == {"against": "path-metric"}
 
 
 def test_right_subinvariance_exhaustive(i2, i2_swap):

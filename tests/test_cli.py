@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from invgeom import fileio
+from invgeom import ParseError, fileio
 from invgeom.cli import main
 
 
@@ -178,6 +178,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["analyze", "--input", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--radius", "abc"), ("--basepoint", "100000"), ("--gens", "5000")],
+)
+def test_verify_rejects_bad_argument(i2_files, capsys, flag, value):
+    args = ["verify", "--input", str(i2_files / "i2.action.json"), flag, value]
+    assert main(args) == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -194,6 +204,9 @@ def test_cap_environment_variable(monkeypatch):
     cfg = default_config()
     assert cfg.assoc_exhaustive_cap == 17
     assert cfg.triple_exhaustive_cap == 17
+    monkeypatch.setenv(ENV_CAP, "abc")
+    with pytest.raises(ParseError, match=ENV_CAP):
+        default_config()
     monkeypatch.delenv(ENV_CAP)
     assert default_config().assoc_exhaustive_cap == 512
 

@@ -19,12 +19,15 @@ from invgeom import (
     quasi_generators_from_metric,
     rips_embedding_bounds,
     rips_graph,
+    semilattice_times_group,
     symmetrize,
     trivial_monoid,
     validate_metric_predicates,
 )
 from invgeom.action import coset_cover_holds
 from invgeom.extmetric import metric_from_int_table
+from invgeom.families import chain_semilattice, cyclic_group_table
+from invgeom.verify import run_verification
 
 from test_action import half_rotation_action
 
@@ -102,7 +105,6 @@ def test_orbit_map_qi_identity(i2, i2_swap, i2_action):
     assert report.mult == 1 and report.add == 0
     assert report.coarse_radius == 0
     assert report.order_preserving is True
-    assert report.components_match
 
 
 def test_orbit_map_qi_half_rotation():
@@ -287,6 +289,29 @@ def test_rips_embedding_bounds(i3, i3_transpositions, i3_action):
     for radius in (1, 2, 3):
         rips = rips_graph(i3_action, x1, radius)
         assert rips_embedding_bounds(i3_action, x1, rips) == []
+
+
+def test_rips_embedding_bounds_at_fractional_radius():
+    # an edge of the radius-3/2 Rips graph spans at most floor(3/2) = 1,
+    # so the upper bound is d/1 + 1, not d/(3/2) + 1
+    m = semilattice_times_group(chain_semilattice(1), cyclic_group_table(8))
+    act = cayley_self_action(m, (1, 7))
+    rips = rips_graph(act, 0, Fraction(3, 2))
+    assert rips.metric.dist(0, 4) == 4
+    assert rips_embedding_bounds(act, 0, rips) == []
+    checks, passed = run_verification(act, (1, 7), radius=Fraction(3, 2))
+    assert passed, [str(c) for c in checks if not c.passed]
+
+
+def test_uniform_properness_fails_without_a_needed_letter():
+    # on Z/8 with generators 1 and 7, the letter 1 alone needs five steps
+    # for the distance-3 pair (0, 5)
+    m = semilattice_times_group(chain_semilattice(1), cyclic_group_table(8))
+    metric = cayley_metric(m, (1, 7)).metric
+    assert validate_metric_predicates(m, metric, f1=(1, 7)).all_passed
+    report = validate_metric_predicates(m, metric, f1=(1,))
+    assert not report.uniform_properness.passed
+    assert report.uniform_properness.witness == (0, 5)
 
 
 def test_rips_vs_word_qi_finite(i3, i3_transpositions, i3_action):

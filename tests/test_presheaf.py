@@ -10,11 +10,10 @@ from invgeom import (
     Semilattice,
     ValidationError,
     cayley_presheaf,
-    ext_distance,
-    presheaf_leq,
     trivial_monoid,
     validate_presheaf,
 )
+from invgeom.extmetric import UNREACHED, bfs, trace_back
 
 
 def single_fiber_presheaf():
@@ -91,11 +90,11 @@ def test_trivial_cayley_presheaf():
 def test_ext_distance_examples(i2, i2_swap, i2_action):
     p = i2_action.presheaf
     for x in range(p.num_points):
-        assert ext_distance(p, x, x) == 0
-    assert ext_distance(p, i2.identity, i2_swap) == 1
+        assert p.distance(x, x) == 0
+    assert p.distance(i2.identity, i2_swap) == 1
     # across fibers
     e0 = [e for e in i2.idempotents if e != i2.identity][0]
-    assert ext_distance(p, i2.identity, e0) == INFINITE
+    assert p.distance(i2.identity, e0) == INFINITE
 
 
 def test_presheaf_leq_examples(i2, i2_swap, i2_action):
@@ -106,13 +105,13 @@ def test_presheaf_leq_examples(i2, i2_swap, i2_action):
         if i2.elements[s].image == (1, None)
     )
     for x in range(p.num_points):
-        assert presheaf_leq(p, x, x)
-    assert presheaf_leq(p, a, i2_swap)
-    assert not presheaf_leq(p, i2_swap, a)
+        assert p.leq(x, x)
+    assert p.leq(a, i2_swap)
+    assert not p.leq(i2_swap, a)
     empty = next(
         s for s in range(i2.order) if i2.elements[s].image == (None, None)
     )
-    assert not presheaf_leq(p, a, empty)
+    assert not p.leq(a, empty)
 
 
 def test_tampered_restrict_reported(i2, i2_swap):
@@ -144,13 +143,15 @@ def test_shortest_path_is_unit_geodesic(i3, i3_transpositions):
     for e in range(p.base.size):
         pts = p.fiber(e)
         x = pts[0]
+        level, parent, column = bfs(p.successors, [x], parents=True)
         for y in pts:
-            path = p.shortest_path(x, y)
-            assert len(path) == table[x, y] + 1
-            for u, v in zip(path, path[1:]):
+            path, columns = trace_back(parent, column, 0, y)
+            assert len(path) == table[x, y] + 1 == len(columns) + 1
+            for u, v, j in zip(path, path[1:], columns):
                 assert table[u, v] == 1
+                assert p.successors[u, j] == v
     # across fibers there is no path
-    assert p.shortest_path(p.fiber(0)[0], p.fiber(1)[0]) is None
+    assert level[0, p.fiber(1)[0]] == UNREACHED
 
 
 def test_presheaf_edges_carry_generator_labels(i2, i2_swap):
