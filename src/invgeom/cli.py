@@ -37,6 +37,10 @@ def _add_common(parser):
 
 
 def _config(args):
+    if args.cap_exhaustive is not None and args.cap_exhaustive < 0:
+        raise ParseError(
+            f"--cap-exhaustive must be non-negative, got {args.cap_exhaustive}"
+        )
     cfg = default_config(args.cap_exhaustive)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -64,7 +68,7 @@ def _radius(args):
 
 
 def _basepoint(args, action):
-    """--basepoint checked against the action's points.
+    """--basepoint checked to be a point of the identity fiber.
 
     Defaults to the smallest point of the identity fiber.
     """
@@ -75,6 +79,8 @@ def _basepoint(args, action):
             f"--basepoint {args.basepoint} out of range: the action has "
             f"{action.presheaf.num_points} points"
         )
+    if args.basepoint not in action.identity_fiber():
+        raise ParseError(f"--basepoint {args.basepoint} is not in the identity fiber")
     return args.basepoint
 
 

@@ -39,4 +39,6 @@ def default_config(cap=None):
         cap = int(cap)
     except ValueError:
         raise ParseError(f"{ENV_CAP} expects an integer, got {cap!r}") from None
+    if cap < 0:
+        raise ParseError(f"{ENV_CAP} must be non-negative, got {cap}")
     return SweepConfig(assoc_exhaustive_cap=cap, triple_exhaustive_cap=cap)

@@ -38,12 +38,37 @@ def _require(data, field, kind, path):
     if field not in data:
         raise ParseError(f"{path}: missing field {field!r}", field=field)
     value = data[field]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (
+        not isinstance(value, kind) or (kind is int and isinstance(value, bool))
+    ):
         raise ParseError(
             f"{path}: field {field!r} has type {type(value).__name__}",
             field=field,
         )
     return value
+
+
+def _is_index(value, bound):
+    """True for an int (not a bool) in [0, bound)."""
+    return type(value) is int and 0 <= value < bound
+
+
+def _check_index_table(rows, shape, bound, path, field):
+    """ParseError unless ``rows`` is a ``shape`` table of ints in [0, bound)."""
+    if len(rows) != shape[0] or any(
+        not isinstance(r, list) or len(r) != shape[1] for r in rows
+    ):
+        raise ParseError(
+            f"{path}: {field} is not an {shape[0]}x{shape[1]} table", field=field
+        )
+    for i, row in enumerate(rows):
+        if set(map(type, row)) <= {int} and 0 <= min(row) and max(row) < bound:
+            continue  # bools and floats are other types
+        j, v = next((j, v) for j, v in enumerate(row) if not _is_index(v, bound))
+        raise ParseError(
+            f"{path}: {field}[{i}][{j}] = {v!r} is not an index below {bound}",
+            field=field,
+        )
 
 
 def save_generator_file(path, ground_size, generators):
@@ -57,6 +82,8 @@ def save_generator_file(path, ground_size, generators):
 def load_generator_file(path):
     data = _read_json(path)
     n = _require(data, "ground_size", int, path)
+    if n < 1:
+        raise ParseError(f"{path}: ground_size must be positive", field="ground_size")
     rows = _require(data, "generators", list, path)
     gens = []
     for i, row in enumerate(rows):
@@ -65,11 +92,16 @@ def load_generator_file(path):
                 f"{path}: generator {i} is not a length-{n} array",
                 field="generators",
             )
+        for j, v in enumerate(row):
+            if v is not None and not _is_index(v, n):
+                raise ParseError(
+                    f"{path}: generators[{i}][{j}] = {v!r} is not null or a "
+                    f"point below {n}",
+                    field="generators",
+                )
         try:
             gens.append(
-                PartialBijection(
-                    n, tuple(UNDEFINED if v is None else int(v) for v in row)
-                )
+                PartialBijection(n, tuple(UNDEFINED if v is None else v for v in row))
             )
         except ValueError as exc:
             raise ParseError(
@@ -91,13 +123,10 @@ def load_monoid_table(path, config=None):
     data = _read_json(path)
     order = _require(data, "order", int, path)
     identity = _require(data, "identity", int, path)
+    if not _is_index(identity, order):
+        raise ParseError(f"{path}: identity {identity} out of range", field="identity")
     product = _require(data, "product", list, path)
-    if len(product) != order or any(
-        not isinstance(r, list) or len(r) != order for r in product
-    ):
-        raise ParseError(
-            f"{path}: product is not an {order}x{order} table", field="product"
-        )
+    _check_index_table(product, (order, order), order, path, "product")
     return from_table(product, identity, config=config)
 
 
@@ -184,6 +213,8 @@ def load_action(path, config=None):
     root = Path(path).parent
     monoid, _ = load_monoid_any(root / monoid_rel, config=config)
     presheaf = load_presheaf(root / presheaf_rel)
+    points = presheaf.num_points
+    _check_index_table(act, (points, monoid.order), points, path, "act")
     action = EtaleAction(
         monoid=monoid,
         presheaf=presheaf,

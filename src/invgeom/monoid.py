@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import SweepConfig
 from .errors import CapacityError, ValidationError
-from .partial_bijection import UNDEFINED, PartialBijection, compose, invert
+from .partial_bijection import UNDEFINED, PartialBijection, invert
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +180,16 @@ def _inverse_table(product):
     return inverse
 
 
+def _check_inverse(product, inverse):
+    """The candidate inverse table, checked in O(N): s t s = s, t s t = t."""
+    s, t = np.arange(len(inverse)), np.array(inverse, dtype=product.dtype)
+    bad = (product[product[s, t], s] != s) | (product[product[t, s], t] != t)
+    if bad.any():
+        b = int(np.argmax(bad))
+        raise ValidationError(f"{t[b]} is no inverse of {b}", witness=(b, int(t[b])))
+    return t
+
+
 def _check_idempotents_commute(product, idem):
     sub = product[np.ix_(idem, idem)]
     if not np.array_equal(sub, sub.T):
@@ -190,12 +200,17 @@ def _check_idempotents_commute(product, idem):
         )
 
 
-def build_from_tables(product, identity, elements=None, labels=None, config=None):
+def build_from_tables(product, identity, elements=None, labels=None, config=None,
+                      inverse=None):
     """Validate a product table and assemble the monoid.
 
     Checks associativity (exhaustive up to the config cap, seeded sampling
     above), the identity law, uniqueness of inverses, and that idempotents
     commute.  Raises ValidationError with a witness on the first failure.
+
+    A candidate ``inverse`` replaces the search for inverses: with commuting
+    idempotents it proves them unique (Howie, Fundamentals of Semigroup
+    Theory, Thm 5.1.1: a regular monoid with commuting idempotents is inverse).
     """
     config = config or SweepConfig()
     product = np.asarray(product)
@@ -214,7 +229,10 @@ def build_from_tables(product, identity, elements=None, labels=None, config=None
         raise ValidationError(f"identity index {identity} out of range")
     _check_identity(product, identity)
     _check_associativity(product, config)
-    inverse = _inverse_table(product)
+    if inverse is None:
+        inverse = _inverse_table(product)
+    else:
+        inverse = _check_inverse(product, inverse)
     idem_mask = product[np.arange(n), np.arange(n)] == np.arange(n)
     _check_idempotents_commute(product, np.flatnonzero(idem_mask))
     product.setflags(write=False)
@@ -237,63 +255,6 @@ def from_table(product, identity, config=None):
     )
 
 
-def _closure_of_bijections(gens, element_cap):
-    n = gens[0].ground_size if gens else None
-    seeds = [PartialBijection.identity(n)] if n else []
-    for g in gens:
-        seeds.append(g)
-        seeds.append(invert(g))
-    found = {f.image: f for f in seeds}
-    frontier = list(found.values())
-    while frontier:
-        fresh = []
-        for g in seeds:
-            for x in frontier:
-                y = compose(g, x)
-                if y.image not in found:
-                    found[y.image] = y
-                    fresh.append(y)
-                    if len(found) > element_cap:
-                        raise CapacityError(
-                            f"closure exceeded element cap {element_cap}"
-                        )
-        frontier = fresh
-    return sorted(found.values(), key=PartialBijection.sort_key)
-
-
-def _image_matrix(elements, n):
-    mat = np.empty((len(elements), n), dtype=np.int64)
-    for i, f in enumerate(elements):
-        mat[i] = [-1 if y is UNDEFINED else y for y in f.image]
-    return mat
-
-
-def _product_table(elements, n):
-    """Vectorized composition table; rows deduplicated via base-(n+1) codes."""
-    count = len(elements)
-    mat = _image_matrix(elements, n)
-    powers = (n + 1) ** np.arange(n, dtype=np.int64)
-    codes = ((mat + 1) * powers).sum(axis=1)
-    use_array = (n + 1) ** n <= 1 << 22
-    if use_array:
-        lookup = np.full((n + 1) ** n, -1, dtype=np.int64)
-        lookup[codes] = np.arange(count)
-    else:
-        lookup = {int(c): i for i, c in enumerate(codes)}
-    dtype = np.int16 if count < 2**15 else np.int32
-    table = np.empty((count, count), dtype=dtype)
-    defined = mat >= 0
-    safe = np.where(defined, mat, 0)
-    for a in range(count):
-        comp = np.where(defined, mat[a][safe], -1)
-        comp_codes = ((comp + 1) * powers).sum(axis=1)
-        if use_array:
-            table[a] = lookup[comp_codes]
-        else:
-            table[a] = [lookup[int(c)] for c in comp_codes]
-    return table
-
-
 def generate_monoid(gens, element_cap=None, config=None, ground_size=None):
     """Smallest inverse monoid of partial bijections containing ``gens``.
 
@@ -304,22 +265,60 @@ def generate_monoid(gens, element_cap=None, config=None, ground_size=None):
     config = config or SweepConfig()
     cap = element_cap if element_cap is not None else config.element_cap
     gens = list(gens)
-    if not gens:
-        if ground_size is None:
-            return trivial_monoid(config=config)
-        gens = [PartialBijection.identity(ground_size)]
-    n = gens[0].ground_size
+    if not gens and ground_size is None:
+        return trivial_monoid(config=config)
+    n = gens[0].ground_size if gens else ground_size
     for g in gens:
         if g.ground_size != n:
             raise ValidationError(
                 f"generators live on different ground sets: {g.ground_size} != {n}"
             )
-    elements = _closure_of_bijections(gens, cap)
-    table = _product_table(elements, n)
-    index = {f.image: i for i, f in enumerate(elements)}
-    identity = index[PartialBijection.identity(n).image]
+    # Images store undefined as n and end in n -> n, so letters[j][x] is
+    # letter j times x.  Codes read images in base n + 1, most significant
+    # digit first, so code order is PartialBijection.sort_key order.
+    seeds = [PartialBijection.identity(n), *gens, *map(invert, gens)]
+    letters = np.unique(
+        [[n if y is None else y for y in f.image] + [n] for f in seeds], axis=0
+    ).astype(np.min_scalar_type(n))
+    digits = [(n + 1) ** k for k in range(n)[::-1]]
+    powers = np.array(digits, dtype=np.int64 if digits[0] * (n + 1) < 2**63 else object)
+    # Breadth-first closure of the identity, the least row letters[0], under
+    # left multiplication; a new element is letter * parent, first pair found.
+    images, parent, letter, start = letters[:1, :n], [-1], [-1], 0
+    while start < len(images):
+        frontier = images[start:]
+        cand = letters[:, frontier].reshape(-1, n)
+        codes, first = np.unique(cand @ powers, return_index=True)
+        first = first[~np.isin(codes, images @ powers)]
+        if len(images) + len(first) > cap:
+            raise CapacityError(f"closure exceeded element cap {cap}")
+        parent = np.append(parent, start + first % len(frontier))
+        letter = np.append(letter, first // len(frontier))
+        start, images = len(images), np.concatenate([images, cand[first]])
+    sorted_codes = np.sort(images @ powers)
+
+    def index(imgs):
+        return np.searchsorted(sorted_codes, imgs @ powers)
+
+    count, rank, letter_rows = len(images), index(images), index(letters[:, :n])
+    canon = images[np.argsort(rank)]
+    reverse = np.full((count, n + 1), n)  # inverse images; column n is a sink
+    reverse[np.arange(count)[:, None], canon] = np.arange(n)
+    # Row g*a is row g gathered at row a (clip mode skips a buffered copy);
+    # a letter's row is its left products, and any parent row comes first.
+    product = np.empty((count, count), np.int16 if count < 2**15 else np.int32)
+    for g, image in zip(letter_rows, letters):
+        product[g] = index(image[canon])
+    gather, deep = np.empty(count, dtype=np.intp), parent > 0
+    for y, a, g in zip(rank[deep], rank[parent[deep]], letter_rows[letter[deep]]):
+        gather[:] = product[a]
+        np.take(product[g], gather, out=product[y], mode="clip")
+    elements = tuple(
+        PartialBijection(n, tuple(UNDEFINED if y == n else y for y in row))
+        for row in canon.tolist()
+    )
     return build_from_tables(
-        table, identity, elements=tuple(elements), config=config
+        product, rank[0], elements, config=config, inverse=index(reverse[:, :n])
     )
 
 

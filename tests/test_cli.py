@@ -4,6 +4,7 @@ import pytest
 
 from invgeom import ParseError, fileio
 from invgeom.cli import main
+from invgeom.config import default_config
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +218,37 @@ def test_chain_example_emit_and_verify(tmp_path):
         ["verify", "--input", str(tmp_path / "chain3_z3.action.json")]
     )
     assert code == 0
+
+
+def test_verify_rejects_negative_cap(i2_files, monkeypatch, capsys):
+    from invgeom.config import ENV_CAP
+
+    action = str(i2_files / "i2.action.json")
+    assert main(["verify", "--input", action, "--cap-exhaustive", "-5"]) == 2
+    assert "--cap-exhaustive" in capsys.readouterr().err
+    monkeypatch.setenv(ENV_CAP, "-5")
+    assert main(["verify", "--input", action]) == 2
+    assert ENV_CAP in capsys.readouterr().err
+    with pytest.raises(ParseError, match=ENV_CAP):
+        default_config()
+
+
+def test_verify_rejects_basepoint_outside_identity_fiber(i2_files, capsys):
+    action, _ = fileio.load_action(i2_files / "i2.action.json")
+    points = set(range(action.presheaf.num_points))
+    outside = min(points - set(action.identity_fiber()))
+    args = ["verify", "--input", str(i2_files / "i2.action.json")]
+    assert main([*args, "--basepoint", str(outside)]) == 2
+    captured = capsys.readouterr()
+    assert "--basepoint" in captured.err and "identity fiber" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_rejects_out_of_range_act_entry(i2_files, tmp_path, capsys):
+    for name in ("i2.monoid.json", "i2.presheaf.json"):
+        (tmp_path / name).write_bytes((i2_files / name).read_bytes())
+    data = json.loads((i2_files / "i2.action.json").read_text())
+    data["act"][0][0] = 99999
+    (tmp_path / "i2.action.json").write_text(json.dumps(data))
+    assert main(["verify", "--input", str(tmp_path / "i2.action.json")]) == 2
+    assert "act[0][0]" in capsys.readouterr().err

@@ -138,3 +138,15 @@ def test_bundled_examples_run_the_whole_pipeline(name):
     qi = orbit_map_qi(action, x1, built.quasi_generators)
     assert qi.mult >= 1 and qi.add >= 0
     assert qi.order_preserving is True
+
+
+def test_symmetric_inverse_order_6_samples():
+    from invgeom.partial_bijection import compose, invert
+
+    m = symmetric_inverse_monoid(6)
+    assert m.order == partial_bijection_count(6) == 13327
+    rng = np.random.default_rng(6)
+    elems = m.elements
+    for a, b in rng.integers(m.order, size=(200, 2)).tolist():
+        assert elems[m.mul(a, b)] == compose(elems[a], elems[b])
+        assert elems[m.inv(a)] == invert(elems[a])

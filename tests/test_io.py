@@ -128,3 +128,61 @@ def test_dot_exports(i2, i2_swap, i2_action):
     rips = rips_graph(i2_action, i2.identity, 1)
     rips_dot = fileio.dot_rips(rips)
     assert rips_dot.startswith("graph") and "--" in rips_dot
+
+
+GENERATOR_FILE = {"ground_size": 2, "generators": [[1, None]]}
+TABLE_FILE = {"order": 2, "identity": 0, "product": [[0, 1], [1, 1]]}
+
+
+def _with(data, path, value):
+    """A deep copy of ``data`` with the entry at ``path`` set to ``value``."""
+    data = json.loads(json.dumps(data))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "data,field",
+    [
+        (_with(GENERATOR_FILE, ["generators", 0, 0], True), "generators"),
+        (_with(GENERATOR_FILE, ["generators", 0, 0], 1.0), "generators"),
+        (_with(GENERATOR_FILE, ["generators", 0, 0], "1"), "generators"),
+        (_with(GENERATOR_FILE, ["generators", 0, 0], 2), "generators"),
+        (_with(GENERATOR_FILE, ["ground_size"], 0), "ground_size"),
+        (_with(GENERATOR_FILE, ["ground_size"], True), "ground_size"),
+        (_with(TABLE_FILE, ["product", 1, 0], 0.5), "product"),
+        (_with(TABLE_FILE, ["product", 1, 0], "x"), "product"),
+        (_with(TABLE_FILE, ["product", 1, 0], True), "product"),
+        (_with(TABLE_FILE, ["product", 1, 0], 2), "product"),
+        (_with(TABLE_FILE, ["product", 1, 0], -1), "product"),
+        (_with(TABLE_FILE, ["identity"], 2), "identity"),
+    ],
+    ids=[
+        "generator-bool", "generator-float", "generator-str", "generator-range",
+        "ground-size-zero", "ground-size-bool", "table-float", "table-str",
+        "table-bool", "table-range", "table-negative", "identity-range",
+    ],
+)
+def test_bad_entries_are_parse_errors(tmp_path, data, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError) as err:
+        fileio.load_monoid_any(path)
+    assert err.value.field == field
+    assert str(path) in str(err.value) and field in str(err.value)
+
+
+@pytest.mark.parametrize("value", [99999, -1, 0.5, True])
+def test_bad_act_entry_is_a_parse_error(tmp_path, i2, i2_action, value):
+    fileio.save_monoid_table(tmp_path / "m.json", i2)
+    fileio.save_presheaf(tmp_path / "p.json", i2_action.presheaf)
+    fileio.save_action(tmp_path / "a.json", i2_action, "m.json", "p.json")
+    data = json.loads((tmp_path / "a.json").read_text())
+    data["act"][3][4] = value
+    (tmp_path / "a.json").write_text(json.dumps(data))
+    with pytest.raises(ParseError, match=r"act\[3\]\[4\]") as err:
+        fileio.load_action(tmp_path / "a.json")
+    assert err.value.field == "act" and "a.json" in str(err.value)

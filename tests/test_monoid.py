@@ -7,12 +7,15 @@ from invgeom import (
     CapacityError,
     PartialBijection,
     ValidationError,
+    build_from_tables,
     from_table,
     generate_monoid,
     mulclose,
     natural_leq_matrix,
     trivial_monoid,
 )
+from invgeom.families import symmetric_inverse_generators
+from invgeom.partial_bijection import compose, invert
 
 from conftest import enumerate_partial_bijections
 
@@ -258,3 +261,95 @@ def test_generated_monoids_satisfy_the_axioms(gens):
         assert m.mul(m.mul(s, m.inv(s)), s) == s
         for t in range(m.order):
             assert m.natural_leq(m.dom(m.mul(s, t)), m.dom(t))
+
+
+def _random_generators(seed, n):
+    """Two seeded partial bijections of random rank on n points."""
+    rng = np.random.default_rng(seed)
+    gens = []
+    for _ in range(2):
+        rank = int(rng.integers(1, n + 1))
+        dom, ran = rng.permutation(n)[:rank], rng.permutation(n)[:rank]
+        gens.append(PartialBijection.from_pairs(n, zip(dom.tolist(), ran.tolist())))
+    return gens
+
+
+def _cycle_and_partial_map(n):
+    """A generating set on n points: an n-cycle and the map 0 -> 1."""
+    cycle = PartialBijection(n, tuple((x + 1) % n for x in range(n)))
+    return [cycle, PartialBijection.from_pairs(n, [(0, 1)])]
+
+
+GENERATING_SETS = {
+    "i3": lambda: symmetric_inverse_generators(3),
+    "i4": lambda: symmetric_inverse_generators(4),
+    **{
+        f"random-{n}-{seed}": (lambda n=n, seed=seed: _random_generators(seed, n))
+        for n in (4, 5)
+        for seed in range(6)
+    },
+    # base-18 codes of 17 points pass the int64 range
+    "cycle-17": lambda: _cycle_and_partial_map(17),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATING_SETS))
+def test_product_table_matches_compose_oracle(name):
+    gens = GENERATING_SETS[name]()
+    m = generate_monoid(gens)
+    elems = m.elements
+    assert list(elems) == sorted(elems, key=PartialBijection.sort_key)
+    index = {f.image: i for i, f in enumerate(elems)}
+    assert len(index) == m.order
+    assert all(g.image in index for g in gens)
+    expected = np.array(
+        [[index[compose(a, b).image] for b in elems] for a in elems]
+    )
+    assert np.array_equal(m.product, expected)
+    assert [elems[t] for t in m.inverse] == [invert(f) for f in elems]
+    assert elems[m.identity] == PartialBijection.identity(gens[0].ground_size)
+
+
+@pytest.mark.parametrize("name", ["i4", "random-5-0", "random-5-4"])
+def test_indices_do_not_depend_on_generator_order(name):
+    gens = GENERATING_SETS[name]()
+    m = generate_monoid(gens)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        shuffled = [gens[i] for i in rng.permutation(len(gens))]
+        again = generate_monoid(shuffled[::-1] + shuffled)
+        assert again.elements == m.elements
+        assert np.array_equal(again.product, m.product)
+        assert np.array_equal(again.inverse, m.inverse)
+
+
+def test_element_cap_is_exact(i3):
+    gens = symmetric_inverse_generators(3)
+    assert generate_monoid(gens, element_cap=i3.order).order == i3.order
+    with pytest.raises(CapacityError, match=str(i3.order - 1)):
+        generate_monoid(gens, element_cap=i3.order - 1)
+
+
+@pytest.mark.parametrize("tamper", ["next-index", "identity-at-idempotent"])
+def test_candidate_inverse_with_one_entry_changed_is_rejected(i3, tamper):
+    # e 1 e = e holds for an idempotent e, so only t s t = t catches 1 there
+    bad = np.array(i3.inverse)
+    if tamper == "next-index":
+        s = 5
+        bad[s] = (bad[s] + 1) % i3.order
+    else:
+        s = next(e for e in i3.idempotents if e != i3.identity)
+        bad[s] = i3.identity
+    with pytest.raises(ValidationError, match="inverse") as err:
+        build_from_tables(np.array(i3.product), i3.identity, inverse=bad)
+    assert err.value.witness == (s, int(bad[s]))
+    m = build_from_tables(np.array(i3.product), i3.identity, inverse=i3.inverse)
+    assert np.array_equal(m.inverse, i3.inverse)
+
+
+def test_candidate_inverse_needs_commuting_idempotents():
+    # identity adjoined to the left-zero semigroup on {1, 2}: every element
+    # is its own inverse candidate, but 1*2 = 1 while 2*1 = 2
+    table = np.array([[0, 1, 2], [1, 1, 1], [2, 2, 2]])
+    with pytest.raises(ValidationError, match="commute"):
+        build_from_tables(table, 0, inverse=np.arange(3))
