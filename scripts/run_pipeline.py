@@ -57,17 +57,17 @@ def main():
     print(f"properness cover by {len(cover)} idempotent cosets: "
           + ", ".join(m.element_label(f) for f in cover))
 
-    qi = orbit_map_qi(action, x1, gens)
+    word = cayley_metric(m, gens)
+    qi = orbit_map_qi(action, x1, word)
     print(
         f"orbit map QI: L = {qi.mult}, C = {qi.add}, "
         f"coarse radius {qi.coarse_radius}, "
         f"order-preserving: {qi.order_preserving}"
     )
-    bad = orbit_inequalities(action, x1, gens)
+    bad = orbit_inequalities(action, x1, word)
     print(f"two-sided word/displacement bounds: "
           f"{'all hold' if not bad else bad}")
 
-    word = cayley_metric(m, gens)
     print(f"word metric components: {len(word.components)} "
           f"(= {len(m.lclasses)} L-classes)")
 

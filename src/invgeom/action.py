@@ -58,9 +58,9 @@ class EtaleAction:
         return self.act[x, :]
 
 
-def cayley_self_action(monoid, gens, config=None):
+def cayley_self_action(monoid, gens):
     """The monoid acting on its own Cayley presheaf by right multiplication."""
-    p = cayley_presheaf(monoid, gens, config)
+    p = cayley_presheaf(monoid, gens)
     return EtaleAction(monoid=monoid, presheaf=p, act=monoid.product)
 
 

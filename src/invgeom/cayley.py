@@ -115,7 +115,7 @@ def schutzenberger_components(monoid, gens):
     return tuple(tuple(sorted(c)) for c in sorted(found, key=min))
 
 
-def cayley_metric(monoid, gens, config=None):
+def cayley_metric(monoid, gens):
     """Path metric of the Schützenberger graphs over a quasi-generating set.
 
     The generating set is symmetrized first.  Distances across L-classes
@@ -146,14 +146,14 @@ def word_distances(monoid, letters):
     return bfs(word_successors(monoid, sorted(set(letters))), everything)
 
 
-def bilipschitz_constants(monoid, gens_m, gens_n, config=None):
+def bilipschitz_constants(monoid, gens_m, gens_n):
     """Extremal ratios between two Cayley metrics sharing their components.
 
     Returns (L1, L2) as Fractions with d_N <= L1 * d_M and d_M <= L2 * d_N
     on every finite pair; 0/0 on the diagonal counts as ratio 1.
     """
-    tm = cayley_metric(monoid, gens_m, config)
-    tn = cayley_metric(monoid, gens_n, config)
+    tm = cayley_metric(monoid, gens_m)
+    tn = cayley_metric(monoid, gens_n)
     if set(map(frozenset, tm.components)) != set(map(frozenset, tn.components)):
         raise ValidationError("metrics do not share the same components")
     dm, dn = tm.metric.table, tn.metric.table

@@ -109,8 +109,8 @@ def _load_setup(args, config):
     return monoid, gens, action
 
 
-def _self_action(monoid, gens, action, config):
-    return action if action is not None else cayley_self_action(monoid, gens, config)
+def _self_action(monoid, gens, action):
+    return action if action is not None else cayley_self_action(monoid, gens)
 
 
 def cmd_gen(args):
@@ -158,7 +158,7 @@ def cmd_graph(args):
             graph, vertex_labels=labels, edge_label=monoid.element_label
         )
     elif args.kind == "schutzenberger":
-        p = cayley_presheaf(monoid, gens, config)
+        p = cayley_presheaf(monoid, gens)
         anchor = args.component if args.component is not None else monoid.identity
         text = fileio.dot_fiber(
             p,
@@ -167,7 +167,7 @@ def cmd_graph(args):
             edge_label=monoid.element_label,
         )
     else:
-        act = _self_action(monoid, gens, action, config)
+        act = _self_action(monoid, gens, action)
         rips = rips_graph(act, _basepoint(args, act), _radius(args))
         text = fileio.dot_rips(rips, vertex_labels=labels)
     Path(args.out).write_text(text)
@@ -179,10 +179,9 @@ def cmd_metric(args):
     config = _config(args)
     monoid, gens, action = _load_setup(args, config)
     if args.kind == "word":
-        table = cayley_metric(monoid, gens, config)
-        metric = table.metric
+        metric = cayley_metric(monoid, gens).metric
     else:
-        act = _self_action(monoid, gens, action, config)
+        act = _self_action(monoid, gens, action)
         metric = rips_graph(act, _basepoint(args, act), _radius(args)).metric
     labels = [monoid.element_label(s) for s in range(monoid.order)]
     fileio.save_metric(f"{args.out}.json", metric)
@@ -195,7 +194,7 @@ def cmd_verify(args):
     config = _config(args)
     radius = _radius(args)
     monoid, gens, action = _load_setup(args, config)
-    act = _self_action(monoid, gens, action, config)
+    act = _self_action(monoid, gens, action)
     checks, passed = run_verification(
         act,
         gens,
@@ -217,11 +216,11 @@ def cmd_qi(args):
     config = _config(args)
     radius = _radius(args)
     monoid, gens, action = _load_setup(args, config)
-    act = _self_action(monoid, gens, action, config)
+    act = _self_action(monoid, gens, action)
     x1 = _basepoint(args, act)
-    orbit = orbit_map_qi(act, x1, gens, config)
+    word = cayley_metric(monoid, gens)
+    orbit = orbit_map_qi(act, x1, word)
     rips = rips_graph(act, x1, radius)
-    word = cayley_metric(monoid, gens, config)
     between = qi_constants(np.arange(monoid.order), rips.metric, word.metric)
     report = {
         "orbit_map": {
@@ -265,11 +264,11 @@ def cmd_examples(args):
             gens_path, n, families.symmetric_inverse_generators(n)
         )
         written.append(gens_path)
-    presheaf = cayley_presheaf(monoid, built.quasi_generators, config)
+    presheaf = cayley_presheaf(monoid, built.quasi_generators)
     presheaf_path = out_dir / f"{args.name}.presheaf.json"
     fileio.save_presheaf(presheaf_path, presheaf)
     written.append(presheaf_path)
-    action = cayley_self_action(monoid, built.quasi_generators, config)
+    action = cayley_self_action(monoid, built.quasi_generators)
     action_path = out_dir / f"{args.name}.action.json"
     fileio.save_action(
         action_path,

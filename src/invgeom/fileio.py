@@ -71,6 +71,18 @@ def _check_index_table(rows, shape, bound, path, field):
         )
 
 
+def _check_index_list(values, bound, path, field):
+    """ParseError unless ``values`` is a list of ints in [0, bound)."""
+    if not isinstance(values, list):
+        raise ParseError(f"{path}: {field} is not a list", field=field)
+    for i, v in enumerate(values):
+        if not _is_index(v, bound):
+            raise ParseError(
+                f"{path}: {field}[{i}] = {v!r} is not an index below {bound}",
+                field=field,
+            )
+
+
 def save_generator_file(path, ground_size, generators):
     data = {
         "ground_size": int(ground_size),
@@ -176,19 +188,36 @@ def load_presheaf(path):
     proj = _require(data, "proj", list, path)
     restrict = _require(data, "restrict", list, path)
     fibers = _require(data, "fibers", list, path)
+    k, m = len(meet), len(proj)
+    _check_index_table(meet, (k, k), k, path, "meet")
+    if labels is not None and not (
+        isinstance(labels, list) and len(labels) == k
+        and all(type(e) is int for e in labels)
+    ):
+        raise ParseError(
+            f"{path}: labels is not a list of {k} element indices", field="labels"
+        )
+    _check_index_list(proj, k, path, "proj")
+    _check_index_table(restrict, (m, k), m, path, "restrict")
     edges = []
-    for fiber_edges in fibers:
+    for i, fiber_edges in enumerate(fibers):
+        if not isinstance(fiber_edges, list):
+            raise ParseError(f"{path}: fibers[{i}] is not a list", field="fibers")
         for entry in fiber_edges:
-            if not isinstance(entry, list) or len(entry) != 3:
+            if not (
+                isinstance(entry, list) and len(entry) == 3
+                and _is_index(entry[0], m) and _is_index(entry[1], m)
+                and (entry[2] is None or type(entry[2]) is int)
+            ):
                 raise ParseError(
-                    f"{path}: fiber edge {entry!r} is not [u, v, label]",
+                    f"{path}: fiber edge {entry!r} is not [u, v, label] with "
+                    f"points below {m} and an integer or null label",
                     field="fibers",
                 )
-            u, v, label = entry
-            edges.append((int(u), int(v), None if label is None else int(label)))
+            edges.append(tuple(entry))
     lattice = Semilattice(
         meet=np.asarray(meet, dtype=np.int32),
-        labels=None if labels is None else tuple(int(e) for e in labels),
+        labels=None if labels is None else tuple(labels),
     )
     return MetricPresheaf.build(lattice, proj, restrict, edges)
 
@@ -215,12 +244,14 @@ def load_action(path, config=None):
     presheaf = load_presheaf(root / presheaf_rel)
     points = presheaf.num_points
     _check_index_table(act, (points, monoid.order), points, path, "act")
+    if gens is not None:
+        _check_index_list(gens, monoid.order, path, "gens")
     action = EtaleAction(
         monoid=monoid,
         presheaf=presheaf,
         act=np.asarray(act, dtype=np.int32),
     )
-    return action, None if gens is None else tuple(int(g) for g in gens)
+    return action, None if gens is None else tuple(gens)
 
 
 def metric_to_json(metric):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .action import coboundedness_constant
-from .cayley import cayley_metric, word_successors
+from .cayley import word_successors
 from .config import SweepConfig
 from .errors import PreconditionError, TheoremViolationError
 from .extmetric import (
@@ -259,17 +259,18 @@ def qi_constants(mapped, da, db):
     )
 
 
-def orbit_map_qi(a, x1, gens, config=None):
+def orbit_map_qi(a, x1, word):
     """QiReport for s -> x1.s from the word metric into the presheaf.
+
+    ``word`` is the CayleyMetricTable of the action's monoid.
 
     Finite distances must correspond to shared fibers exactly (a failure
     raises TheoremViolationError), and the order-preserving flag records
     whether the natural partial order maps into the presheaf order.
     """
     mon, p = a.monoid, a.presheaf
-    cm = cayley_metric(mon, gens, config)
     orbit = np.asarray(a.act[x1, :], dtype=np.intp)
-    fin_w = np.isfinite(cm.metric.table)
+    fin_w = np.isfinite(word.metric.table)
     fin_x = np.isfinite(p.metric.table[np.ix_(orbit, orbit)])
     if not np.array_equal(fin_w, fin_x):
         s, t = np.argwhere(fin_w != fin_x)[0]
@@ -277,7 +278,7 @@ def orbit_map_qi(a, x1, gens, config=None):
             "finite word distance does not match finite orbit distance",
             witness=(int(s), int(t)),
         )
-    base = qi_constants(orbit, cm.metric, p.metric)
+    base = qi_constants(orbit, word.metric, p.metric)
     leq = natural_leq_matrix(mon)
     ordered = True
     for s, t in np.argwhere(leq):
@@ -292,31 +293,30 @@ def orbit_map_qi(a, x1, gens, config=None):
     )
 
 
-def orbit_inequalities(a, x1, gens, config=None):
+def orbit_inequalities(a, x1, word):
     """Two-sided bounds tying word length to orbit displacement.
 
     For every element: the word distance from dom(s) to s is at most the
     orbit displacement plus 2, and the displacement is at most the word
     length times the largest displacement among that word's own letters.
-    Returns the list of violations (empty when both bounds hold).
+    ``word`` is the CayleyMetricTable of the action's monoid.  Returns the
+    list of violations (empty when both bounds hold).
     """
     mon, p = a.monoid, a.presheaf
-    cm = cayley_metric(mon, gens, config)
-    sym = cm.generators
     orbit = a.act[x1, :]
     table = p.metric.table
     dom = mon.dom_table
     disp = table[orbit, orbit[dom]]
-    word = cm.metric.table[np.arange(mon.order), dom]
-    words = _shortest_words(mon, sym, within_class=True)
+    length = word.metric.table[np.arange(mon.order), dom]
+    words = _shortest_words(mon, word.generators, within_class=True)
     out = []
     for s in range(mon.order):
-        if word[s] > disp[s] + 2:
+        if length[s] > disp[s] + 2:
             out.append(
                 Violation(
                     "word-vs-displacement",
                     (s,),
-                    f"word distance {word[s]} exceeds displacement {disp[s]} + 2",
+                    f"word distance {length[s]} exceeds displacement {disp[s]} + 2",
                 )
             )
         letters = words[s]
@@ -325,7 +325,7 @@ def orbit_inequalities(a, x1, gens, config=None):
                 Violation("word-vs-displacement", (s,), "no word reaches s")
             )
             continue
-        if len(letters) != word[s]:
+        if len(letters) != length[s]:
             raise TheoremViolationError(
                 "recovered word length disagrees with the metric", witness=(s,)
             )
@@ -341,21 +341,20 @@ def orbit_inequalities(a, x1, gens, config=None):
     return out
 
 
-def factorization_step_bounds(a, x1, gens, samples=200, seed=0, config=None):
+def factorization_step_bounds(a, x1, word, samples=200, seed=0):
     """Per-step domination along sampled factorizations s = t_n ... t_1 dom(s).
 
     Each sampled chain follows a shortest word in the symmetrized
-    generators, with every letter optionally dressed by an idempotent
-    that fixes the running product; each step's orbit movement must be
-    bounded by the letter's own displacement.  Returns violations.
+    generators of the CayleyMetricTable ``word``, with every letter
+    optionally dressed by an idempotent that fixes the running product;
+    each step's orbit movement must be bounded by the letter's own
+    displacement.  Returns violations.
     """
     mon, p = a.monoid, a.presheaf
-    cm = cayley_metric(mon, gens, config)
-    sym = cm.generators
     table = p.metric.table
     orbit = a.act[x1, :]
     dom = mon.dom_table
-    words = _shortest_words(mon, sym, within_class=True)
+    words = _shortest_words(mon, word.generators, within_class=True)
     rng = np.random.default_rng(seed)
     idem = mon.idempotents
     out = []
@@ -575,14 +574,15 @@ def _check_uniform_properness(monoid, metric, f1):
     )
 
 
-def quasi_generators_from_metric(monoid, metric, f1=None, config=None):
+def quasi_generators_from_metric(monoid, metric, report):
     """Recover a quasi-generating set from a uniformly proper metric.
 
-    Every non-idempotent s is factored as a word of at most ceil(d(s, dom s))
-    letters of F1 applied to dom(s); the closure of F1 with the idempotents
-    must be the whole monoid.  Failures raise TheoremViolationError.
+    ``report`` is the metric's MetricPredicateReport, and F1 is its
+    uniform-properness witness.  Every non-idempotent s is factored as a
+    word of at most ceil(d(s, dom s)) letters of F1 applied to dom(s); the
+    closure of F1 with the idempotents must be the whole monoid.  Failures
+    raise TheoremViolationError.
     """
-    report = validate_metric_predicates(monoid, metric, f1=f1, config=config)
     if not report.uniform_properness.passed:
         raise PreconditionError(
             "metric is not uniformly proper with the given witness",

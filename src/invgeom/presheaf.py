@@ -223,7 +223,7 @@ def validate_presheaf(p):
     return out
 
 
-def cayley_presheaf(monoid, gens, config=None):
+def cayley_presheaf(monoid, gens):
     """The monoid fibered over its idempotents by dom, with L-class fibers.
 
     Points are the elements, restriction is right multiplication, and the

@@ -24,6 +24,8 @@ class CheckResult:
     data: dict = field(default_factory=dict)
 
     def __str__(self):
+        if "skipped_after" in self.data:
+            return f"SKIP {self.name} after {', '.join(self.data['skipped_after'])}"
         status = "PASS" if self.passed else "FAIL"
         extra = f" witness={self.witness}" if self.witness is not None else ""
         return f"{status} {self.name}{extra}"

@@ -1,12 +1,16 @@
 """The full predicate suite run by the ``verify`` subcommand.
 
 Each check returns a CheckResult; the suite passes iff every check does.
-All sweeps are exhaustive at desk scale except where SweepConfig says to
-sample, and every result is deterministic for a fixed config.
+A check runs only once the checks it rests on have passed, and is
+reported as skipped otherwise.  All sweeps are exhaustive at desk scale
+except where SweepConfig says to sample, and every result is
+deterministic for a fixed config.
 """
 
 import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -65,12 +69,12 @@ def check_edge_pairing(monoid, letters=None):
     return CheckResult("edge-pairing", True, data={"edges_checked": checked})
 
 
-def check_word_metric_agreement(monoid, gens, metric_table=None, config=None):
+def check_word_metric_agreement(monoid, gens, metric_table):
     """Word search over M agrees with word search over M and E(S) on L-pairs.
 
     Both searches run the shared breadth-first kernel from every element
     over unrestricted left multiplication, one without and one with the
-    idempotent letters.  The per-L-class path metric, when provided, runs
+    idempotent letters.  The per-L-class path metric ``metric_table`` runs
     the same kernel on a different graph, its Schützenberger graphs, and
     must match them.  The searches are unrestricted on purpose: left
     multiplication never raises dom, so a word that leaves an L-class
@@ -81,9 +85,10 @@ def check_word_metric_agreement(monoid, gens, metric_table=None, config=None):
     dom = monoid.dom_table
     same = dom[:, None] == dom[None, :]
     pure = word_distances(monoid, sym)
-    others = [(word_distances(monoid, with_idem), {})]
-    if metric_table is not None:
-        others.append((metric_table.T, {"against": "path-metric"}))
+    others = (
+        (word_distances(monoid, with_idem), {}),
+        (metric_table.T, {"against": "path-metric"}),
+    )
     for other, data in others:
         bad = np.argwhere(same & (pure != other))  # rows are sources t
         if bad.size:
@@ -102,192 +107,183 @@ def check_theta_all(action):
     return CheckResult("theta-isometry", True)
 
 
+@dataclass(frozen=True, eq=False)
+class VerificationRun:
+    """One run's inputs, and the values that several of its checks read.
+
+    Each shared value is computed when a check first reads it, so it is
+    built once per run and not at all when every check reading it is
+    skipped.
+    """
+
+    action: object
+    gens: tuple
+    basepoint: int
+    radius: Fraction
+    config: SweepConfig
+
+    @property
+    def monoid(self):
+        return self.action.monoid
+
+    @cached_property
+    def word(self):
+        return cayley_metric(self.monoid, self.gens)
+
+    @cached_property
+    def cobound(self):
+        return coboundedness_constant(self.action, self.basepoint)
+
+    @cached_property
+    def extraction(self):
+        return extract_generators(self.action, self.basepoint, self.cobound)
+
+    @cached_property
+    def rips(self):
+        return rips_graph(self.action, self.basepoint, self.radius)
+
+    @cached_property
+    def rips_report(self):
+        f1 = properness_witness(self.action, self.basepoint, self.radius)
+        return validate_metric_predicates(
+            self.monoid, self.rips.metric, f1=f1, config=self.config
+        )
+
+
+def _check_table(radius):
+    """The checks of one run as (name, prerequisites, check), in report order.
+
+    ``check(run)`` returns the check's CheckResult; its name is the
+    table's.  Checks name the functions they call in their bodies, so a
+    function rebound on this module is the one that runs.
+    """
+    table = [
+        ("presheaf-axioms", (),
+         lambda run: _findings(validate_presheaf(run.action.presheaf))),
+        ("action-axioms", ("presheaf-axioms",),
+         lambda run: _findings(validate_action(run.action))),
+        ("theta-isometry", ("action-axioms",),
+         lambda run: check_theta_all(run.action)),
+        ("edge-pairing", (),
+         lambda run: check_edge_pairing(run.monoid)),
+        ("word-metric-agreement", (),
+         lambda run: check_word_metric_agreement(
+             run.monoid, run.gens, run.word.metric.table
+         )),
+        ("word-metric-predicates", (),
+         lambda run: _predicates(validate_metric_predicates(
+             run.monoid, run.word.metric, config=run.config
+         ))),
+        ("cobounded", ("action-axioms",),
+         lambda run: _result(run.cobound is not None, constant=run.cobound)),
+        ("generator-extraction", ("cobounded",), _generator_extraction),
+        ("properness-cover", ("generator-extraction",), _properness_cover),
+        ("orbit-map-qi", ("cobounded", "word-metric-predicates"), _orbit_map_qi),
+        ("orbit-inequalities", ("cobounded", "word-metric-predicates"),
+         lambda run: _findings(
+             orbit_inequalities(run.action, run.basepoint, run.word)
+         )),
+        (f"rips-predicates-r{radius}", ("action-axioms",),
+         lambda run: _predicates(run.rips_report)),
+    ]
+    if radius >= 1:
+        table += [
+            (f"rips-embedding-bounds-r{radius}", ("action-axioms",),
+             lambda run: _findings(
+                 rips_embedding_bounds(run.action, run.basepoint, run.rips)
+             )),
+            (f"rips-vs-word-qi-r{radius}", ("action-axioms", "word-metric-predicates"),
+             _rips_vs_word_qi),
+        ]
+    table.append(
+        (f"rips-quasi-generators-r{radius}", (f"rips-predicates-r{radius}",),
+         _rips_quasi_generators)
+    )
+    return table
+
+
 def run_verification(action, gens, radius=1, basepoint=None, config=None):
-    """Run every predicate against an action and one Rips radius.
+    """Run every check against an action and one Rips radius.
 
     Returns (checks, passed).  The basepoint defaults to the smallest
-    point of the identity fiber.
+    point of the identity fiber.  A check whose prerequisite failed or
+    was skipped does not run: it fails as skipped and names that
+    prerequisite.  An error raised inside a check fails that check.
     """
-    config = config or SweepConfig()
-    mon = action.monoid
-    checks = []
-    x1 = basepoint if basepoint is not None else min(action.identity_fiber())
     radius = Fraction(radius)
-
-    presheaf_report = validate_presheaf(action.presheaf)
-    checks.append(
-        CheckResult(
-            "presheaf-axioms",
-            not presheaf_report,
-            witness=presheaf_report[0].witness if presheaf_report else None,
-        )
-    )
-    action_report = validate_action(action)
-    checks.append(
-        CheckResult(
-            "action-axioms",
-            not action_report,
-            witness=action_report[0].witness if action_report else None,
-        )
-    )
-    checks.append(check_theta_all(action))
-    checks.append(check_edge_pairing(mon))
-
-    try:
-        cm = cayley_metric(mon, gens, config)
-        checks.append(
-            check_word_metric_agreement(
-                mon, gens, metric_table=cm.metric.table, config=config
-            )
-        )
-        checks.append(
-            _predicate_result(
-                "word-metric-predicates",
-                validate_metric_predicates(mon, cm.metric, config=config),
-            )
-        )
-    except InvgeomError as exc:
-        checks.append(
-            CheckResult("word-metric-predicates", False, data={"error": str(exc)})
-        )
-        cm = None
-
-    cobound = coboundedness_constant(action, x1)
-    checks.append(
-        CheckResult(
-            "cobounded",
-            cobound is not None,
-            data={"constant": cobound},
-        )
-    )
-    if cobound is None:
-        return checks, False
-
-    try:
-        extraction = extract_generators(action, x1, cobound)
-        max_chain = max(
-            len(c.factors) for c in extraction.certificates
-        )
-        checks.append(
-            CheckResult(
-                "generator-extraction",
-                True,
-                data={
-                    "generators": len(extraction.generators),
-                    "threshold": extraction.threshold,
-                    "max_chain": max_chain,
-                },
-            )
-        )
-        cover = properness_witness(action, x1, extraction.threshold)
-        covered = coset_cover_holds(mon, cover, extraction.generators)
-        checks.append(
-            CheckResult(
-                "properness-cover",
-                covered,
-                data={"cover_size": len(cover)},
-            )
-        )
-    except InvgeomError as exc:
-        checks.append(
-            CheckResult("generator-extraction", False, data={"error": str(exc)})
-        )
-
-    if cm is not None:
-        try:
-            qi = orbit_map_qi(action, x1, gens, config)
-            checks.append(
-                CheckResult(
-                    "orbit-map-qi",
-                    bool(qi.order_preserving)
-                    and qi.coarse_radius != math.inf,
-                    data={
-                        "L": str(qi.mult),
-                        "C": str(qi.add),
-                        "coarse_radius": qi.coarse_radius,
-                        "order_preserving": qi.order_preserving,
-                    },
-                )
-            )
-        except InvgeomError as exc:
-            checks.append(
-                CheckResult("orbit-map-qi", False, data={"error": str(exc)})
-            )
-        bounds = orbit_inequalities(action, x1, gens, config)
-        checks.append(
-            CheckResult(
-                "orbit-inequalities",
-                not bounds,
-                witness=bounds[0].witness if bounds else None,
-            )
-        )
-
-    rips = rips_graph(action, x1, radius)
-    f1 = properness_witness(action, x1, radius)
-    rips_report = validate_metric_predicates(
-        mon, rips.metric, f1=f1, config=config
-    )
-    checks.append(
-        _predicate_result(f"rips-predicates-r{radius}", rips_report)
-    )
-    if radius >= 1:
-        embed = rips_embedding_bounds(action, x1, rips)
-        checks.append(
-            CheckResult(
-                f"rips-embedding-bounds-r{radius}",
-                not embed,
-                witness=embed[0].witness if embed else None,
-            )
-        )
-        if cm is not None:
+    if basepoint is None:
+        basepoint = min(action.identity_fiber())
+    run = VerificationRun(action, gens, basepoint, radius, config or SweepConfig())
+    checks, passed = [], set()
+    for name, prerequisites, check in _check_table(radius):
+        unmet = [p for p in prerequisites if p not in passed]
+        if unmet:
+            result = CheckResult(name, False, data={"skipped_after": unmet})
+        else:
             try:
-                both = qi_constants(
-                    np.arange(mon.order), rips.metric, cm.metric
-                )
-                checks.append(
-                    CheckResult(
-                        f"rips-vs-word-qi-r{radius}",
-                        True,
-                        data={"L": str(both.mult), "C": str(both.add)},
-                    )
-                )
+                result = replace(check(run), name=name)
             except InvgeomError as exc:
-                checks.append(
-                    CheckResult(
-                        f"rips-vs-word-qi-r{radius}",
-                        False,
-                        data={"error": str(exc)},
-                    )
-                )
-    if rips_report.all_passed:
-        try:
-            cert = quasi_generators_from_metric(
-                mon, rips.metric, f1=f1, config=config
-            )
-            checks.append(
-                CheckResult(
-                    f"rips-quasi-generators-r{radius}",
-                    True,
-                    data={"f1_size": len(cert.generators)},
-                )
-            )
-        except InvgeomError as exc:
-            checks.append(
-                CheckResult(
-                    f"rips-quasi-generators-r{radius}",
-                    False,
-                    data={"error": str(exc)},
-                )
-            )
-    passed = all(c.passed for c in checks)
-    return checks, passed
+                result = CheckResult(name, False, data={"error": str(exc)})
+        if result.passed:
+            passed.add(name)
+        checks.append(result)
+    return checks, len(passed) == len(checks)
 
 
-def _predicate_result(name, report):
+def _result(passed, witness=None, **data):
+    """A CheckResult to be named by the check table."""
+    return CheckResult("", passed, witness=witness, data=data)
+
+
+def _findings(found):
+    """Pass iff a validator found nothing; the first finding is the witness."""
+    return _result(not found, found[0].witness if found else None)
+
+
+def _predicates(report):
     failing = [c for c in report.checks if not c.passed]
-    return CheckResult(
-        name,
-        report.all_passed,
-        witness=failing[0].witness if failing else None,
-        data={"failing": [c.name for c in failing]} if failing else {},
+    if not failing:
+        return _result(True)
+    return _result(False, failing[0].witness, failing=[c.name for c in failing])
+
+
+def _generator_extraction(run):
+    extraction = run.extraction
+    return _result(
+        True,
+        generators=len(extraction.generators),
+        threshold=extraction.threshold,
+        max_chain=max(len(c.factors) for c in extraction.certificates),
     )
+
+
+def _properness_cover(run):
+    extraction = run.extraction
+    cover = properness_witness(run.action, run.basepoint, extraction.threshold)
+    covered = coset_cover_holds(run.monoid, cover, extraction.generators)
+    return _result(covered, cover_size=len(cover))
+
+
+def _orbit_map_qi(run):
+    qi = orbit_map_qi(run.action, run.basepoint, run.word)
+    return _result(
+        bool(qi.order_preserving) and qi.coarse_radius != math.inf,
+        L=str(qi.mult),
+        C=str(qi.add),
+        coarse_radius=qi.coarse_radius,
+        order_preserving=qi.order_preserving,
+    )
+
+
+def _rips_vs_word_qi(run):
+    both = qi_constants(
+        np.arange(run.monoid.order), run.rips.metric, run.word.metric
+    )
+    return _result(True, L=str(both.mult), C=str(both.add))
+
+
+def _rips_quasi_generators(run):
+    cert = quasi_generators_from_metric(
+        run.monoid, run.rips.metric, run.rips_report
+    )
+    return _result(True, f1_size=len(cert.generators))

@@ -125,7 +125,8 @@ def test_criterion_5_generation_pipeline_i3(i3, i3_transpositions, i3_action):
     extraction = extract_generators(i3_action, x1, 0)  # closure check inside
     cover = properness_witness(i3_action, x1, 1)
     assert coset_cover_holds(i3, cover, extraction.generators)
-    qi = orbit_map_qi(i3_action, x1, i3_transpositions)  # finiteness inside
+    word = cayley_metric(i3, i3_transpositions)
+    qi = orbit_map_qi(i3_action, x1, word)  # finiteness inside
     assert qi.mult >= 1 and qi.add >= 0
     assert qi.order_preserving is True
     table = i3_action.presheaf.metric.table
@@ -133,7 +134,7 @@ def test_criterion_5_generation_pipeline_i3(i3, i3_transpositions, i3_action):
         s = cert.element
         d = table[i3_action.apply(x1, s), i3_action.apply(x1, i3.dom(s))]
         assert len(cert.factors) <= d + 2
-    assert orbit_inequalities(i3_action, x1, i3_transpositions) == []
+    assert orbit_inequalities(i3_action, x1, word) == []
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"pipeline took {elapsed:.2f}s"
     report(
@@ -178,7 +179,8 @@ def test_criterion_8_quasi_generators_from_metrics(i3, i3_transpositions, i3_act
         ("d_M", word.metric, None),
         ("d^1", rips_graph(i3_action, x1, 1).metric, properness_witness(i3_action, x1, 1)),
     ):
-        cert = quasi_generators_from_metric(i3, metric, f1=f1)
+        predicates = validate_metric_predicates(i3, metric, f1=f1)
+        cert = quasi_generators_from_metric(i3, metric, predicates)
         for s, letters in cert.factorizations.items():
             bound = math.ceil(metric.dist(s, i3.dom(s)))
             assert len(letters) <= bound

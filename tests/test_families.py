@@ -118,6 +118,7 @@ def test_unknown_example():
 )
 def test_bundled_examples_run_the_whole_pipeline(name):
     from invgeom import (
+        cayley_metric,
         coboundedness_constant,
         extract_generators,
         orbit_map_qi,
@@ -135,7 +136,7 @@ def test_bundled_examples_run_the_whole_pipeline(name):
     extraction = extract_generators(action, x1, t)
     cover = properness_witness(action, x1, extraction.threshold)
     assert coset_cover_holds(m, cover, extraction.generators)
-    qi = orbit_map_qi(action, x1, built.quasi_generators)
+    qi = orbit_map_qi(action, x1, cayley_metric(m, built.quasi_generators))
     assert qi.mult >= 1 and qi.add >= 0
     assert qi.order_preserving is True
 

@@ -101,7 +101,7 @@ def test_properness_cover_contains_extracted_generators(i3, i3_action):
 
 
 def test_orbit_map_qi_identity(i2, i2_swap, i2_action):
-    report = orbit_map_qi(i2_action, i2.identity, (i2_swap,))
+    report = orbit_map_qi(i2_action, i2.identity, cayley_metric(i2, (i2_swap,)))
     assert report.mult == 1 and report.add == 0
     assert report.coarse_radius == 0
     assert report.order_preserving is True
@@ -109,7 +109,7 @@ def test_orbit_map_qi_identity(i2, i2_swap, i2_action):
 
 def test_orbit_map_qi_half_rotation():
     act = half_rotation_action()
-    report = orbit_map_qi(act, 0, (1,))
+    report = orbit_map_qi(act, 0, cayley_metric(act.monoid, (1,)))
     assert report.mult == 2 and report.add == 0
     assert report.coarse_radius == 1
     assert report.order_preserving is True
@@ -126,13 +126,16 @@ def test_orbit_order_preservation_explicitly(i2, i2_swap, i2_action):
 
 
 def test_orbit_inequalities_empty(i2, i2_swap, i3, i3_transpositions, i2_action, i3_action):
-    assert orbit_inequalities(i2_action, i2.identity, (i2_swap,)) == []
-    assert orbit_inequalities(i3_action, i3.identity, i3_transpositions) == []
+    word2 = cayley_metric(i2, (i2_swap,))
+    word3 = cayley_metric(i3, i3_transpositions)
+    assert orbit_inequalities(i2_action, i2.identity, word2) == []
+    assert orbit_inequalities(i3_action, i3.identity, word3) == []
 
 
 def test_factorization_step_bounds(i3, i3_transpositions, i3_action):
+    word = cayley_metric(i3, i3_transpositions)
     viols = factorization_step_bounds(
-        i3_action, i3.identity, i3_transpositions, samples=40, seed=7
+        i3_action, i3.identity, word, samples=40, seed=7
     )
     assert viols == []
 
@@ -242,7 +245,8 @@ def test_metric_predicates_catch_wrong_components(i2, i2_swap):
 
 def test_quasi_generators_from_word_metric(i3, i3_transpositions):
     cm = cayley_metric(i3, i3_transpositions)
-    cert = quasi_generators_from_metric(i3, cm.metric)
+    report = validate_metric_predicates(i3, cm.metric)
+    cert = quasi_generators_from_metric(i3, cm.metric, report)
     for s, word in cert.factorizations.items():
         d = cm.metric.dist(s, i3.dom(s))
         assert len(word) <= math.ceil(d)
@@ -255,7 +259,8 @@ def test_quasi_generators_from_word_metric(i3, i3_transpositions):
 def test_quasi_generators_from_rips_metric(i2, i2_swap, i2_action):
     rips = rips_graph(i2_action, i2.identity, 1)
     f1 = properness_witness(i2_action, i2.identity, 1)
-    cert = quasi_generators_from_metric(i2, rips.metric, f1=f1)
+    report = validate_metric_predicates(i2, rips.metric, f1=f1)
+    cert = quasi_generators_from_metric(i2, rips.metric, report)
     assert set(cert.generators) == set(f1)
 
 
@@ -263,7 +268,8 @@ def test_quasi_generators_trivial():
     m = trivial_monoid()
     act = cayley_self_action(m, [])
     rips = rips_graph(act, 0, 1)
-    cert = quasi_generators_from_metric(m, rips.metric)
+    report = validate_metric_predicates(m, rips.metric)
+    cert = quasi_generators_from_metric(m, rips.metric, report)
     assert cert.generators == ()
     assert cert.factorizations == {}
 
@@ -312,6 +318,14 @@ def test_uniform_properness_fails_without_a_needed_letter():
     report = validate_metric_predicates(m, metric, f1=(1,))
     assert not report.uniform_properness.passed
     assert report.uniform_properness.witness == (0, 5)
+
+
+def test_quasi_generators_need_a_uniformly_proper_report():
+    m = semilattice_times_group(chain_semilattice(1), cyclic_group_table(8))
+    metric = cayley_metric(m, (1, 7)).metric
+    report = validate_metric_predicates(m, metric, f1=(1,))
+    with pytest.raises(PreconditionError, match="uniformly proper"):
+        quasi_generators_from_metric(m, metric, report)
 
 
 def test_rips_vs_word_qi_finite(i3, i3_transpositions, i3_action):

@@ -186,3 +186,43 @@ def test_bad_act_entry_is_a_parse_error(tmp_path, i2, i2_action, value):
     with pytest.raises(ParseError, match=r"act\[3\]\[4\]") as err:
         fileio.load_action(tmp_path / "a.json")
     assert err.value.field == "act" and "a.json" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "path,value,field",
+    [
+        (["proj", 0], 999, "proj"),
+        (["proj", 0], 0.5, "proj"),
+        (["restrict", 0, 0], 99999, "restrict"),
+        (["fibers", 0, 0, 0], 99999, "fibers"),
+        (["fibers", 0, 0, 0], "x", "fibers"),
+        (["fibers", 0, 0, 2], "x", "fibers"),
+        (["fibers", 0], 5, "fibers"),
+        (["base", "meet", 0, 0], 99, "meet"),
+        (["base", "labels", 0], "x", "labels"),
+    ],
+    ids=[
+        "proj-range", "proj-float", "restrict-range", "edge-range", "edge-str",
+        "edge-label-str", "fiber-not-list", "meet-range", "base-label-str",
+    ],
+)
+def test_bad_presheaf_entry_is_a_parse_error(tmp_path, i2_action, path, value, field):
+    fileio.save_presheaf(tmp_path / "p.json", i2_action.presheaf)
+    data = _with(json.loads((tmp_path / "p.json").read_text()), path, value)
+    (tmp_path / "p.json").write_text(json.dumps(data))
+    with pytest.raises(ParseError) as err:
+        fileio.load_presheaf(tmp_path / "p.json")
+    assert err.value.field == field and "p.json" in str(err.value)
+
+
+@pytest.mark.parametrize("gens", [[999], ["x"], [True], 5])
+def test_bad_action_gens_are_a_parse_error(tmp_path, i2, i2_action, gens):
+    fileio.save_monoid_table(tmp_path / "m.json", i2)
+    fileio.save_presheaf(tmp_path / "p.json", i2_action.presheaf)
+    fileio.save_action(tmp_path / "a.json", i2_action, "m.json", "p.json")
+    data = json.loads((tmp_path / "a.json").read_text())
+    data["gens"] = gens
+    (tmp_path / "a.json").write_text(json.dumps(data))
+    with pytest.raises(ParseError) as err:
+        fileio.load_action(tmp_path / "a.json")
+    assert err.value.field == "gens" and "a.json" in str(err.value)

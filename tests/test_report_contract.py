@@ -8,9 +8,10 @@ a deliberate change of a report is a change of this table.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from invgeom import build_example, cayley_self_action
+from invgeom import EtaleAction, build_example, cayley_self_action
 from invgeom.fileio import dumps_canonical
 from invgeom.report import checks_to_json
 from invgeom.verify import run_verification
@@ -38,6 +39,30 @@ DIGESTS = {
 }
 
 
+# I4 with one act entry changed: action-axioms fails, and every check
+# built on the action is skipped.
+TAMPERED_DIGEST = "bb134b03781dd33e0ab3e895131932564483123c6b1e09c191b1fc9f3cc2c733"
+
+
+def tampered_i4():
+    """I4's self-action with one entry of an idempotent's act column changed.
+
+    An idempotent must act as restriction, so action-axioms fails.
+    """
+    built = build_example("i4")
+    monoid, gens = built.monoid, built.quasi_generators
+    action = cayley_self_action(monoid, gens)
+    act = np.array(action.act)
+    e = next(e for e in monoid.idempotents if e != monoid.identity)
+    act[0, e] = (act[0, e] + 1) % monoid.order
+    return EtaleAction(monoid=monoid, presheaf=action.presheaf, act=act), gens
+
+
+def _digest(checks):
+    text = dumps_canonical(checks_to_json(checks))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "name,radius", sorted(DIGESTS), ids=[f"{n}-r{r}" for n, r in sorted(DIGESTS)]
 )
@@ -45,5 +70,10 @@ def test_canonical_report_digest(name, radius):
     built = build_example(name)
     action = cayley_self_action(built.monoid, built.quasi_generators)
     checks, _ = run_verification(action, built.quasi_generators, radius=radius)
-    text = dumps_canonical(checks_to_json(checks))
-    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[(name, radius)]
+    assert _digest(checks) == DIGESTS[(name, radius)]
+
+
+def test_tampered_report_digest():
+    checks, passed = run_verification(*tampered_i4())
+    assert not passed
+    assert _digest(checks) == TAMPERED_DIGEST
