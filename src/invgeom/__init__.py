@@ -17,16 +17,11 @@ from .action import (
 from .cayley import (
     CayleyMetricTable,
     LabeledDigraph,
-    bilipschitz_constants,
     cayley_graph,
     cayley_metric,
-    is_quasi_generating,
-    reduce_quasi_generators,
-    schutzenberger_components,
     symmetrize,
     word_distances,
 )
-from .config import SweepConfig, default_config
 from .errors import (
     CapacityError,
     InvgeomError,
@@ -54,7 +49,6 @@ from .geometry import (
     QuasiGenerationCertificate,
     RipsGraph,
     extract_generators,
-    factorization_step_bounds,
     orbit_inequalities,
     orbit_map_qi,
     qi_constants,
@@ -68,6 +62,7 @@ from .monoid import (
     build_from_tables,
     from_table,
     generate_monoid,
+    generating_set,
     mulclose,
     natural_leq_matrix,
     trivial_monoid,

@@ -2,13 +2,12 @@
 
 Subcommands: gen, analyze, graph, metric, verify, qi, examples.  Exit
 codes: 0 success, 1 verification failure, 2 usage or parse error.
-Reports are deterministic for a fixed seed and cap.
+Every sweep is exhaustive, so a report depends on its inputs alone.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,34 +16,12 @@ import numpy as np
 from . import families, fileio
 from .action import cayley_self_action
 from .cayley import cayley_graph, cayley_metric
-from .config import default_config
 from .errors import InvgeomError, ParseError
 from .geometry import orbit_map_qi, qi_constants, rips_graph
 from .monoid import natural_leq_matrix
 from .presheaf import cayley_presheaf
 from .report import checks_to_json, checks_to_text, jsonable
 from .verify import run_verification
-
-
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=None, help="sampling seed")
-    parser.add_argument(
-        "--cap-exhaustive",
-        type=int,
-        default=None,
-        help="override the exhaustive-sweep caps",
-    )
-
-
-def _config(args):
-    if args.cap_exhaustive is not None and args.cap_exhaustive < 0:
-        raise ParseError(
-            f"--cap-exhaustive must be non-negative, got {args.cap_exhaustive}"
-        )
-    cfg = default_config(args.cap_exhaustive)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
 
 
 def _parse_gens(text):
@@ -84,17 +61,17 @@ def _basepoint(args, action):
     return args.basepoint
 
 
-def _load_setup(args, config):
+def _load_setup(args):
     """Resolve --input to (monoid, gens, action-or-None)."""
     try:
         data = json.loads(Path(args.input).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{args.input}: invalid JSON at line {exc.lineno}")
     if "act" in data:
-        action, file_gens = fileio.load_action(args.input, config=config)
+        action, file_gens = fileio.load_action(args.input)
         monoid = action.monoid
     else:
-        monoid, file_gens = fileio.load_monoid_any(args.input, config=config)
+        monoid, file_gens = fileio.load_monoid_any(args.input)
         action = None
     gens = _parse_gens(getattr(args, "gens", None))
     for g in gens or ():
@@ -114,16 +91,14 @@ def _self_action(monoid, gens, action):
 
 
 def cmd_gen(args):
-    config = _config(args)
-    monoid, _ = fileio.load_monoid_any(args.input, config=config)
+    monoid, _ = fileio.load_monoid_any(args.input)
     fileio.save_monoid_table(args.out, monoid)
     print(f"wrote table of order {monoid.order} to {args.out}")
     return 0
 
 
 def cmd_analyze(args):
-    config = _config(args)
-    monoid, _, _ = _load_setup(args, config)
+    monoid, _, _ = _load_setup(args)
     print(f"order: {monoid.order}")
     print(f"identity: {monoid.element_label(monoid.identity)}")
     idem = ", ".join(monoid.element_label(e) for e in monoid.idempotents)
@@ -149,8 +124,7 @@ def cmd_analyze(args):
 
 
 def cmd_graph(args):
-    config = _config(args)
-    monoid, gens, action = _load_setup(args, config)
+    monoid, gens, action = _load_setup(args)
     labels = tuple(monoid.element_label(s) for s in range(monoid.order))
     if args.kind == "cayley":
         graph = cayley_graph(monoid, gens)
@@ -176,8 +150,7 @@ def cmd_graph(args):
 
 
 def cmd_metric(args):
-    config = _config(args)
-    monoid, gens, action = _load_setup(args, config)
+    monoid, gens, action = _load_setup(args)
     if args.kind == "word":
         metric = cayley_metric(monoid, gens).metric
     else:
@@ -191,16 +164,14 @@ def cmd_metric(args):
 
 
 def cmd_verify(args):
-    config = _config(args)
     radius = _radius(args)
-    monoid, gens, action = _load_setup(args, config)
+    monoid, gens, action = _load_setup(args)
     act = _self_action(monoid, gens, action)
     checks, passed = run_verification(
         act,
         gens,
         radius=radius,
         basepoint=_basepoint(args, act),
-        config=config,
     )
     text = checks_to_text(checks)
     print(text, end="")
@@ -213,9 +184,8 @@ def cmd_verify(args):
 
 
 def cmd_qi(args):
-    config = _config(args)
     radius = _radius(args)
-    monoid, gens, action = _load_setup(args, config)
+    monoid, gens, action = _load_setup(args)
     act = _self_action(monoid, gens, action)
     x1 = _basepoint(args, act)
     word = cayley_metric(monoid, gens)
@@ -244,12 +214,11 @@ def cmd_qi(args):
 
 
 def cmd_examples(args):
-    config = _config(args)
     if args.action == "list":
         for spec in families.list_examples():
             print(f"{spec.name}: {spec.description}")
         return 0
-    built = families.build_example(args.name, config=config)
+    built = families.build_example(args.name)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     monoid = built.monoid
@@ -293,13 +262,11 @@ def build_parser():
     p = sub.add_parser("gen", help="build a monoid file from generators or a table")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("analyze", help="print idempotents, Green classes, Hasse order")
     p.add_argument("--input", required=True)
     p.add_argument("--gens", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("graph", help="DOT export of a graph")
@@ -313,7 +280,6 @@ def build_parser():
                    help="element whose Schützenberger component to export")
     p.add_argument("--radius", default="1")
     p.add_argument("--basepoint", type=int, default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("metric", help="matrix export of a word or Rips metric")
@@ -323,7 +289,6 @@ def build_parser():
     p.add_argument("--gens", default=None)
     p.add_argument("--radius", default="1")
     p.add_argument("--basepoint", type=int, default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_metric)
 
     p = sub.add_parser("verify", help="run the full predicate suite")
@@ -332,7 +297,6 @@ def build_parser():
     p.add_argument("--radius", default="1")
     p.add_argument("--basepoint", type=int, default=None)
     p.add_argument("--out", default=None, help="report base path")
-    _add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("qi", help="quasi-isometry constants between metrics")
@@ -341,14 +305,12 @@ def build_parser():
     p.add_argument("--radius", default="1")
     p.add_argument("--basepoint", type=int, default=None)
     p.add_argument("--out", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_qi)
 
     p = sub.add_parser("examples", help="list or emit bundled examples")
     p.add_argument("action", choices=("list", "emit"))
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--out-dir", default=".")
-    _add_common(p)
     p.set_defaults(func=cmd_examples)
 
     return parser

@@ -10,16 +10,14 @@ UNREACHED for vertices a source does not reach.
 A symmetric metric is stored in a float64 table where ``math.inf`` marks
 pairs in different components.  Finite values are integers, which
 float64 represents exactly, so comparisons never hit rounding.
-Threshold comparisons against fractional radii are done with
-``fractions.Fraction`` by callers.
+Callers compare them with fractional radii exactly, through integer
+thresholds such as floor(R).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ValidationError
 
 INFINITE = math.inf
 UNREACHED = -1  # unreached level; metric_from_int_table reads -1 as infinite
@@ -58,53 +56,6 @@ class ExtendedMetric:
             seen[cls] = True
             comps.append(tuple(int(i) for i in cls))
         return tuple(comps)
-
-    def validate(self, triangle_cap=250, samples=100_000, seed=0):
-        """Check symmetry, the zero diagonal, and the triangle inequality.
-
-        The triangle sweep is exhaustive up to ``triangle_cap`` points and
-        seeded sampling above.  Raises ValidationError with a witness.
-        """
-        t = self.table
-        m = self.size
-        if t.shape != (m, m):
-            raise ValidationError(f"table is not square: {t.shape}")
-        if np.any(t < 0):
-            x, y = np.argwhere(t < 0)[0]
-            raise ValidationError("negative distance", witness=(int(x), int(y)))
-        if not np.array_equal(t, t.T):
-            x, y = np.argwhere(t != t.T)[0]
-            raise ValidationError("not symmetric", witness=(int(x), int(y)))
-        diag = np.diag(t)
-        if np.any(diag != 0):
-            x = int(np.argwhere(diag != 0)[0][0])
-            raise ValidationError("nonzero diagonal", witness=(x,))
-        off = t + np.diag([INFINITE] * m)
-        if np.any(off == 0):
-            x, y = np.argwhere(off == 0)[0]
-            raise ValidationError(
-                "distinct points at distance 0", witness=(int(x), int(y))
-            )
-        if m <= triangle_cap:
-            for x in range(m):
-                # d(y,z) <= d(y,x) + d(x,z); inf arithmetic is safe here
-                bound = t[:, x][:, None] + t[x, :][None, :]
-                if np.any(t > bound):
-                    y, z = np.argwhere(t > bound)[0]
-                    raise ValidationError(
-                        "triangle inequality fails", witness=(int(y), int(x), int(z))
-                    )
-        else:
-            rng = np.random.default_rng(seed)
-            x, y, z = rng.integers(0, m, size=(3, samples))
-            bad = np.flatnonzero(t[y, z] > t[y, x] + t[x, z])
-            if bad.size:
-                b = bad[0]
-                raise ValidationError(
-                    "triangle inequality fails",
-                    witness=(int(y[b]), int(x[b]), int(z[b])),
-                )
-        return self
 
 
 def metric_from_int_table(table):

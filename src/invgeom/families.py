@@ -29,13 +29,13 @@ def symmetric_inverse_generators(n):
     return gens
 
 
-def symmetric_inverse_monoid(n, config=None):
+def symmetric_inverse_monoid(n):
     """The monoid of all partial bijections on n points, 1 <= n <= 6."""
     if not 1 <= n <= MAX_SYMMETRIC_N:
         raise CapacityError(
             f"n={n} outside supported range 1..{MAX_SYMMETRIC_N}"
         )
-    monoid = generate_monoid(symmetric_inverse_generators(n), config=config)
+    monoid = generate_monoid(symmetric_inverse_generators(n))
     expected = partial_bijection_count(n)
     if monoid.order != expected:
         raise TheoremViolationError(
@@ -70,7 +70,7 @@ def _group_identity(table):
     return None
 
 
-def semilattice_times_group(e_table, g_table, config=None):
+def semilattice_times_group(e_table, g_table):
     """Inverse monoid on pairs (e, g) with product (ef, gh).
 
     The semilattice must have a top element (it provides the identity
@@ -101,7 +101,6 @@ def semilattice_times_group(e_table, g_table, config=None):
         product.astype(np.int32),
         identity=int(top) * m + int(gid),
         labels=labels,
-        config=config,
     )
     expected_idem = {e * m + gid for e in range(k)}
     if set(monoid.idempotents) != expected_idem:
@@ -174,7 +173,7 @@ def list_examples():
     return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
 
 
-def build_example(name, config=None):
+def build_example(name):
     """Build a registered example with its standard quasi-generating set."""
     if name not in _REGISTRY:
         raise KeyError(
@@ -182,10 +181,10 @@ def build_example(name, config=None):
         )
     spec = _REGISTRY[name]
     if spec.family == "trivial":
-        return BuiltExample(spec, trivial_monoid(config=config), ())
+        return BuiltExample(spec, trivial_monoid(), ())
     if spec.family == "symmetric-inverse":
         n = spec.params["n"]
-        monoid = symmetric_inverse_monoid(n, config=config)
+        monoid = symmetric_inverse_monoid(n)
         transpositions = [
             PartialBijection.transposition(n, i, j)
             for i in range(n)
@@ -193,9 +192,7 @@ def build_example(name, config=None):
         ]
         return BuiltExample(spec, monoid, generator_indices(monoid, transpositions))
     k, m = spec.params["chain"], spec.params["cyclic"]
-    monoid = semilattice_times_group(
-        chain_semilattice(k), cyclic_group_table(m), config=config
-    )
+    monoid = semilattice_times_group(chain_semilattice(k), cyclic_group_table(m))
     top = k - 1
     gens = {top * m + 1, top * m + (m - 1)} if m > 1 else set()
     return BuiltExample(spec, monoid, tuple(sorted(gens)))

@@ -131,7 +131,7 @@ def save_monoid_table(path, monoid):
     _write(path, dumps_canonical(data))
 
 
-def load_monoid_table(path, config=None):
+def load_monoid_table(path):
     data = _read_json(path)
     order = _require(data, "order", int, path)
     identity = _require(data, "identity", int, path)
@@ -139,10 +139,10 @@ def load_monoid_table(path, config=None):
         raise ParseError(f"{path}: identity {identity} out of range", field="identity")
     product = _require(data, "product", list, path)
     _check_index_table(product, (order, order), order, path, "product")
-    return from_table(product, identity, config=config)
+    return from_table(product, identity)
 
 
-def load_monoid_any(path, config=None):
+def load_monoid_any(path):
     """Load either a generator file or a table file.
 
     Returns (monoid, generator_indices) where the indices are the file
@@ -151,11 +151,11 @@ def load_monoid_any(path, config=None):
     data = _read_json(path)
     if "generators" in data:
         n, gens = load_generator_file(path)
-        monoid = generate_monoid(gens, config=config, ground_size=n)
+        monoid = generate_monoid(gens, ground_size=n)
         index = {f.image: i for i, f in enumerate(monoid.elements)}
         return monoid, tuple(sorted({index[g.image] for g in gens}))
     if "product" in data:
-        return load_monoid_table(path, config=config), None
+        return load_monoid_table(path), None
     raise ParseError(f"{path}: neither a generator file nor a table file")
 
 
@@ -232,7 +232,7 @@ def save_action(path, action, monoid_path, presheaf_path, gens=None):
     _write(path, dumps_canonical(data))
 
 
-def load_action(path, config=None):
+def load_action(path):
     """Returns (action, gens) where gens is the stored set or None."""
     data = _read_json(path)
     monoid_rel = _require(data, "monoid", str, path)
@@ -240,7 +240,7 @@ def load_action(path, config=None):
     act = _require(data, "act", list, path)
     gens = data.get("gens")
     root = Path(path).parent
-    monoid, _ = load_monoid_any(root / monoid_rel, config=config)
+    monoid, _ = load_monoid_any(root / monoid_rel)
     presheaf = load_presheaf(root / presheaf_rel)
     points = presheaf.num_points
     _check_index_table(act, (points, monoid.order), points, path, "act")

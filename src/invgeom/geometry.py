@@ -15,7 +15,6 @@ import numpy as np
 
 from .action import coboundedness_constant
 from .cayley import word_successors
-from .config import SweepConfig
 from .errors import PreconditionError, TheoremViolationError
 from .extmetric import (
     INFINITE,
@@ -341,58 +340,6 @@ def orbit_inequalities(a, x1, word):
     return out
 
 
-def factorization_step_bounds(a, x1, word, samples=200, seed=0):
-    """Per-step domination along sampled factorizations s = t_n ... t_1 dom(s).
-
-    Each sampled chain follows a shortest word in the symmetrized
-    generators of the CayleyMetricTable ``word``, with every letter
-    optionally dressed by an idempotent that fixes the running product;
-    each step's orbit movement must be bounded by the letter's own
-    displacement.  Returns violations.
-    """
-    mon, p = a.monoid, a.presheaf
-    table = p.metric.table
-    orbit = a.act[x1, :]
-    dom = mon.dom_table
-    words = _shortest_words(mon, word.generators, within_class=True)
-    rng = np.random.default_rng(seed)
-    idem = mon.idempotents
-    out = []
-    order = rng.permutation(mon.order)[: min(samples, mon.order)]
-    for s in order:
-        s = int(s)
-        letters = words[s]
-        if letters is None:
-            continue
-        v = int(dom[s])
-        for m in letters:
-            ran_v = mon.ran(v)
-            fixing = [e for e in idem if mon.mul(e, ran_v) == ran_v]
-            e = fixing[rng.integers(0, len(fixing))]
-            step = mon.mul(m, e)
-            nxt = mon.mul(step, v)
-            if nxt != mon.mul(m, v):
-                raise TheoremViolationError(
-                    "idempotent dressing changed the chain", witness=(s, m, e)
-                )
-            moved = table[orbit[nxt], orbit[v]]
-            allowance = table[orbit[step], orbit[dom[step]]]
-            if moved > allowance:
-                out.append(
-                    Violation(
-                        "chain-step",
-                        (s, int(m), int(e)),
-                        f"step moved {moved}, letter allows {allowance}",
-                    )
-                )
-            v = nxt
-        if v != s:
-            raise TheoremViolationError(
-                "letter chain did not reach its element", witness=(s,)
-            )
-    return out
-
-
 def rips_graph(a, x1, radius):
     """Vertices are elements; s ~ t iff their orbit points are within radius.
 
@@ -424,7 +371,7 @@ def rips_embedding_bounds(a, x1, rips):
     """Affine bounds between the Rips metric and orbit distances.
 
     For every finite pair: d_R(s,t) <= d(x1.s, x1.t)/floor(R) + 1 and
-    d(x1.s, x1.t) <= R * d_R(s,t), both checked with exact rationals.
+    d(x1.s, x1.t) <= R * d_R(s,t), both checked exactly on integers.
     Orbit distances are integers, so a Rips edge spans at most floor(R);
     the radius must be at least 1.  Returns the list of violations.
     """
@@ -434,47 +381,50 @@ def rips_embedding_bounds(a, x1, rips):
     step = math.floor(r)
     orbit = np.asarray(a.act[x1, :], dtype=np.intp)
     fiber_d = a.presheaf.metric.table[np.ix_(orbit, orbit)]
-    rips_d = rips.metric.table
+    pairs = np.argwhere(np.isfinite(fiber_d))
+    d = fiber_d[pairs[:, 0], pairs[:, 1]].astype(np.int64)
+    dr = rips.metric.table[pairs[:, 0], pairs[:, 1]]
+    lost = np.isinf(dr)
+    dr = np.where(lost, 0, dr).astype(np.int64)
+    # For each value k of d_R, with R = p/q: f k > d + f iff d < f (k - 1),
+    # and q d > p k iff d > floor(p k / q), as d is an integer.  Bounds past
+    # int64 make object arrays, which compare exactly too.
+    levels = range(int(dr.max(initial=0)) + 1)
+    below = np.array([step * (k - 1) for k in levels])
+    above = np.array([r.numerator * k // r.denominator for k in levels])
+    upper = ~lost & (d < below[dr])
+    lipschitz = ~lost & (d > above[dr])
     out = []
-    for s, t in np.argwhere(np.isfinite(fiber_d)):
-        s, t = int(s), int(t)
-        dxy = int(fiber_d[s, t])
-        dr = rips_d[s, t]
-        if math.isinf(dr):
+    for i in np.flatnonzero(lost | upper | lipschitz).tolist():
+        pair = tuple(pairs[i].tolist())
+        if lost[i]:
             out.append(
                 Violation(
                     "rips-finite",
-                    (s, t),
+                    pair,
                     "orbit distance finite but Rips distance infinite",
                 )
             )
-            continue
-        dr = int(dr)
-        if Fraction(dr) > Fraction(dxy, step) + 1:
+        if upper[i]:
             out.append(
-                Violation(
-                    "rips-upper", (s, t), f"d_R={dr} > {dxy}/{step} + 1"
-                )
+                Violation("rips-upper", pair, f"d_R={dr[i]} > {d[i]}/{step} + 1")
             )
-        if Fraction(dxy) > r * dr:
+        if lipschitz[i]:
             out.append(
-                Violation(
-                    "rips-lipschitz", (s, t), f"d={dxy} > ({r}) * {dr}"
-                )
+                Violation("rips-lipschitz", pair, f"d={d[i]} > ({r}) * {dr[i]}")
             )
     return out
 
 
-def validate_metric_predicates(monoid, metric, f1=None, config=None):
+def validate_metric_predicates(monoid, metric, f1=None):
     """Report on the four structural predicates of an extended metric on S.
 
     Components must be the L-classes; distinct points must be uniformly
-    separated; right multiplication must not increase distances (exhaustive
-    up to the triple cap, seeded sampling above); every radius must admit
-    a finite set of left factors; and a single finite set F1 must witness
-    all radii through its powers.  ``f1`` overrides the derived witness.
+    separated; right multiplication must not increase distances; every
+    radius must admit a finite set of left factors; and a single finite
+    set F1 must witness all radii through its powers.  ``f1`` overrides
+    the derived witness.
     """
-    config = config or SweepConfig()
     n = monoid.order
     t = metric.table
     fin = np.isfinite(t)
@@ -495,7 +445,7 @@ def validate_metric_predicates(monoid, metric, f1=None, config=None):
         gap is None or gap > 0,
         data={"separation": gap},
     )
-    right_subinvariance = _check_right_subinvariance(monoid, metric, config)
+    right_subinvariance = _check_right_subinvariance(monoid, metric)
     product = monoid.product
     xs, ys = np.nonzero(fin & ~np.eye(n, dtype=bool))
     factors = product[ys, monoid.inverse[xs]]  # y x^-1, when it solves f x = y
@@ -532,35 +482,23 @@ def validate_metric_predicates(monoid, metric, f1=None, config=None):
     )
 
 
-def _check_right_subinvariance(monoid, metric, config):
-    n = monoid.order
+def _check_right_subinvariance(monoid, metric):
+    """d(s x, u x) <= d(s, u) for all s, u and every x in a generating set.
+
+    Exact for every x: if x and y pass, so does x y, since
+    d(s x y, u x y) <= d(s x, u x) <= d(s, u), and every element is a
+    product of the generating set.  A witness names an x of that set.
+    """
     t = metric.table
-    product = monoid.product
-    if n <= config.triple_exhaustive_cap:
-        for x in range(n):
-            moved = product[:, x]
-            shifted = t[np.ix_(moved, moved)]
-            bad = np.argwhere(shifted > t)
-            for s, u in bad[:1]:
-                return CheckResult(
-                    "right-subinvariant",
-                    False,
-                    witness=(int(s), int(u), x),
-                )
-        return CheckResult("right-subinvariant", True)
-    rng = np.random.default_rng(config.seed)
-    s, u, x = rng.integers(0, n, size=(3, config.triple_samples))
-    lhs = t[product[s, x], product[u, x]]
-    bad = np.flatnonzero(lhs > t[s, u])
-    if bad.size:
-        b = bad[0]
-        return CheckResult(
-            "right-subinvariant",
-            False,
-            witness=(int(s[b]), int(u[b]), int(x[b])),
-            data={"sampled": True},
-        )
-    return CheckResult("right-subinvariant", True, data={"sampled": True})
+    for x in monoid.generating_set:
+        moved = monoid.product[:, x]
+        bad = np.argwhere(t[np.ix_(moved, moved)] > t)
+        if bad.size:
+            s, u = bad[0]
+            return CheckResult(
+                "right-subinvariant", False, witness=(int(s), int(u), x)
+            )
+    return CheckResult("right-subinvariant", True)
 
 
 def _check_uniform_properness(monoid, metric, f1):

@@ -11,7 +11,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import SweepConfig
 from .errors import CapacityError, ValidationError
 from .partial_bijection import UNDEFINED, PartialBijection, invert
 
@@ -52,6 +51,11 @@ class InverseMonoid:
     def ran_table(self):
         n = self.order
         return self.product[np.arange(n), self.inverse]
+
+    @cached_property
+    def generating_set(self):
+        """The greedy generating set of the product table."""
+        return generating_set(self.product)
 
     @cached_property
     def idempotents(self):
@@ -101,51 +105,52 @@ def natural_leq_matrix(monoid):
 
 
 def mulclose(product, seeds):
-    """Closure of a set of element indices under the product table."""
-    n = product.shape[0]
-    member = np.zeros(n, dtype=bool)
-    seeds = list(seeds)
-    if not seeds:
-        return frozenset()
-    member[seeds] = True
-    frontier = np.flatnonzero(member)
+    """Closure of a set of element indices under the product table.
+
+    It grows by right multiplication by the seeds alone, so it holds every
+    product ((s1 s2) s3) ... of seeds: in an associative table, every
+    product of seeds.
+    """
+    member = np.zeros(product.shape[0], dtype=bool)
+    member[list(seeds)] = True
+    seeds = frontier = np.flatnonzero(member)
     while frontier.size:
-        current = np.flatnonzero(member)
-        prods = np.concatenate(
-            [
-                product[np.ix_(current, frontier)].ravel(),
-                product[np.ix_(frontier, current)].ravel(),
-            ]
-        )
-        fresh = np.unique(prods)
-        fresh = fresh[~member[fresh]]
-        member[fresh] = True
-        frontier = fresh
-    return frozenset(int(i) for i in np.flatnonzero(member))
+        reached = np.zeros_like(member)
+        reached[product[np.ix_(frontier, seeds)]] = True
+        frontier = np.flatnonzero(reached & ~member)
+        member[frontier] = True
+    return frozenset(np.flatnonzero(member).tolist())
 
 
-def _check_associativity(product, config):
-    n = product.shape[0]
-    if n <= config.assoc_exhaustive_cap:
-        for i in range(n):
-            left = product[product[i, :], :]   # (i j) k
-            right = product[i, product]        # i (j k)
-            if not np.array_equal(left, right):
-                j, k = np.argwhere(left != right)[0]
-                raise ValidationError(
-                    f"not associative at ({i},{j},{k})", witness=(i, int(j), int(k))
-                )
-    else:
-        rng = np.random.default_rng(config.seed)
-        i, j, k = rng.integers(0, n, size=(3, config.assoc_samples))
-        left = product[product[i, j], k]
-        right = product[i, product[j, k]]
-        bad = np.flatnonzero(left != right)
-        if bad.size:
-            b = bad[0]
+def generating_set(product):
+    """A generating set of the table, chosen greedily in index order.
+
+    Element s is kept when it is not in the closure of the elements kept
+    before it, so every element lies in the closure of the result.
+    """
+    kept, reached = [], frozenset()
+    for s in range(product.shape[0]):
+        if s not in reached:
+            kept.append(s)
+            reached = mulclose(product, kept)
+    return tuple(kept)
+
+
+def _check_associativity(product):
+    """Light's test: (a g) c = a (g c) for every a, c and g in a generating set.
+
+    Exact for the whole table (Clifford & Preston, The Algebraic Theory of
+    Semigroups I, 1.2): if g and h pass, so does g h, since
+    (a (g h)) c = ((a g) h) c = (a g) (h c) = a (g (h c)) = a ((g h) c),
+    and every element is a product ((g1 g2) g3) ... of the generating set.
+    """
+    for g in generating_set(product):
+        left = product[product[:, g], :]   # (a g) c
+        right = product[:, product[g, :]]  # a (g c)
+        if not np.array_equal(left, right):
+            a, c = np.argwhere(left != right)[0]
             raise ValidationError(
-                f"not associative at sampled triple ({i[b]},{j[b]},{k[b]})",
-                witness=(int(i[b]), int(j[b]), int(k[b])),
+                f"not associative at ({a},{g},{c})", witness=(int(a), g, int(c))
             )
 
 
@@ -200,19 +205,21 @@ def _check_idempotents_commute(product, idem):
         )
 
 
-def build_from_tables(product, identity, elements=None, labels=None, config=None,
-                      inverse=None):
+def build_from_tables(product, identity, elements=None, labels=None, inverse=None):
     """Validate a product table and assemble the monoid.
 
-    Checks associativity (exhaustive up to the config cap, seeded sampling
-    above), the identity law, uniqueness of inverses, and that idempotents
-    commute.  Raises ValidationError with a witness on the first failure.
+    Checks the identity law, associativity by Light's test, uniqueness of
+    inverses, and that idempotents commute.  Raises ValidationError with a
+    witness on the first failure.
+
+    With ``elements`` given, ``product`` must be their composition table,
+    which is associative because composition of maps is; associativity is
+    then not checked.
 
     A candidate ``inverse`` replaces the search for inverses: with commuting
     idempotents it proves them unique (Howie, Fundamentals of Semigroup
     Theory, Thm 5.1.1: a regular monoid with commuting idempotents is inverse).
     """
-    config = config or SweepConfig()
     product = np.asarray(product)
     n = product.shape[0]
     if product.ndim != 2 or product.shape[1] != n:
@@ -228,7 +235,8 @@ def build_from_tables(product, identity, elements=None, labels=None, config=None
     if not 0 <= identity < n:
         raise ValidationError(f"identity index {identity} out of range")
     _check_identity(product, identity)
-    _check_associativity(product, config)
+    if elements is None:
+        _check_associativity(product)
     if inverse is None:
         inverse = _inverse_table(product)
     else:
@@ -248,25 +256,23 @@ def build_from_tables(product, identity, elements=None, labels=None, config=None
     )
 
 
-def from_table(product, identity, config=None):
+def from_table(product, identity):
     """Monoid from an explicit product table with opaque element indices."""
-    return build_from_tables(
-        np.array(product, dtype=np.int32), identity, config=config
-    )
+    return build_from_tables(np.array(product, dtype=np.int32), identity)
 
 
-def generate_monoid(gens, element_cap=None, config=None, ground_size=None):
+def generate_monoid(gens, element_cap=100_000, ground_size=None):
     """Smallest inverse monoid of partial bijections containing ``gens``.
 
     The result contains the generators, their inverses, and the total
     identity, and is closed under composition.  A closure larger than the
-    element cap raises CapacityError.
+    element cap raises CapacityError.  Every row of the product table is a
+    composite of maps, so the table is associative by construction and is
+    not swept for it.
     """
-    config = config or SweepConfig()
-    cap = element_cap if element_cap is not None else config.element_cap
     gens = list(gens)
     if not gens and ground_size is None:
-        return trivial_monoid(config=config)
+        return trivial_monoid()
     n = gens[0].ground_size if gens else ground_size
     for g in gens:
         if g.ground_size != n:
@@ -290,8 +296,8 @@ def generate_monoid(gens, element_cap=None, config=None, ground_size=None):
         cand = letters[:, frontier].reshape(-1, n)
         codes, first = np.unique(cand @ powers, return_index=True)
         first = first[~np.isin(codes, images @ powers)]
-        if len(images) + len(first) > cap:
-            raise CapacityError(f"closure exceeded element cap {cap}")
+        if len(images) + len(first) > element_cap:
+            raise CapacityError(f"closure exceeded element cap {element_cap}")
         parent = np.append(parent, start + first % len(frontier))
         letter = np.append(letter, first // len(frontier))
         start, images = len(images), np.concatenate([images, cand[first]])
@@ -318,9 +324,9 @@ def generate_monoid(gens, element_cap=None, config=None, ground_size=None):
         for row in canon.tolist()
     )
     return build_from_tables(
-        product, rank[0], elements, config=config, inverse=index(reverse[:, :n])
+        product, rank[0], elements, inverse=index(reverse[:, :n])
     )
 
 
-def trivial_monoid(config=None):
-    return build_from_tables(np.zeros((1, 1), dtype=np.int16), 0, config=config)
+def trivial_monoid():
+    return build_from_tables(np.zeros((1, 1), dtype=np.int16), 0)

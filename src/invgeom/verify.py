@@ -2,15 +2,13 @@
 
 Each check returns a CheckResult; the suite passes iff every check does.
 A check runs only once the checks it rests on have passed, and is
-reported as skipped otherwise.  All sweeps are exhaustive at desk scale
-except where SweepConfig says to sample, and every result is
-deterministic for a fixed config.
+reported as skipped otherwise.  Every sweep is exhaustive, and every
+result is deterministic.
 """
 
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +20,6 @@ from .action import (
     validate_action,
 )
 from .cayley import cayley_metric, symmetrize, word_distances
-from .config import SweepConfig
 from .errors import InvgeomError
 from .geometry import (
     extract_generators,
@@ -107,6 +104,34 @@ def check_theta_all(action):
     return CheckResult("theta-isometry", True)
 
 
+class _shared:
+    """A run's value built on first read, with its outcome cached.
+
+    The outcome is the value or the InvgeomError its build raised; every
+    read returns that value or raises that error again, so a failing
+    build runs once however many checks read it.
+    """
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.key = f"_{name}"
+
+    def __get__(self, run, owner=None):
+        if run is None:
+            return self
+        if self.key not in run.__dict__:
+            try:
+                run.__dict__[self.key] = self.build(run)
+            except InvgeomError as exc:
+                run.__dict__[self.key] = exc
+        outcome = run.__dict__[self.key]
+        if isinstance(outcome, InvgeomError):
+            raise outcome
+        return outcome
+
+
 @dataclass(frozen=True, eq=False)
 class VerificationRun:
     """One run's inputs, and the values that several of its checks read.
@@ -120,34 +145,31 @@ class VerificationRun:
     gens: tuple
     basepoint: int
     radius: Fraction
-    config: SweepConfig
 
     @property
     def monoid(self):
         return self.action.monoid
 
-    @cached_property
+    @_shared
     def word(self):
         return cayley_metric(self.monoid, self.gens)
 
-    @cached_property
+    @_shared
     def cobound(self):
         return coboundedness_constant(self.action, self.basepoint)
 
-    @cached_property
+    @_shared
     def extraction(self):
         return extract_generators(self.action, self.basepoint, self.cobound)
 
-    @cached_property
+    @_shared
     def rips(self):
         return rips_graph(self.action, self.basepoint, self.radius)
 
-    @cached_property
+    @_shared
     def rips_report(self):
         f1 = properness_witness(self.action, self.basepoint, self.radius)
-        return validate_metric_predicates(
-            self.monoid, self.rips.metric, f1=f1, config=self.config
-        )
+        return validate_metric_predicates(self.monoid, self.rips.metric, f1=f1)
 
 
 def _check_table(radius):
@@ -171,9 +193,9 @@ def _check_table(radius):
              run.monoid, run.gens, run.word.metric.table
          )),
         ("word-metric-predicates", (),
-         lambda run: _predicates(validate_metric_predicates(
-             run.monoid, run.word.metric, config=run.config
-         ))),
+         lambda run: _predicates(
+             validate_metric_predicates(run.monoid, run.word.metric)
+         )),
         ("cobounded", ("action-axioms",),
          lambda run: _result(run.cobound is not None, constant=run.cobound)),
         ("generator-extraction", ("cobounded",), _generator_extraction),
@@ -202,7 +224,7 @@ def _check_table(radius):
     return table
 
 
-def run_verification(action, gens, radius=1, basepoint=None, config=None):
+def run_verification(action, gens, radius=1, basepoint=None):
     """Run every check against an action and one Rips radius.
 
     Returns (checks, passed).  The basepoint defaults to the smallest
@@ -213,7 +235,7 @@ def run_verification(action, gens, radius=1, basepoint=None, config=None):
     radius = Fraction(radius)
     if basepoint is None:
         basepoint = min(action.identity_fiber())
-    run = VerificationRun(action, gens, basepoint, radius, config or SweepConfig())
+    run = VerificationRun(action, gens, basepoint, radius)
     checks, passed = [], set()
     for name, prerequisites, check in _check_table(radius):
         unmet = [p for p in prerequisites if p not in passed]

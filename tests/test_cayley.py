@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,17 +7,14 @@ from invgeom import (
     LabeledDigraph,
     PreconditionError,
     ValidationError,
-    bilipschitz_constants,
     cayley_graph,
     cayley_metric,
     from_table,
-    is_quasi_generating,
-    reduce_quasi_generators,
-    schutzenberger_components,
     symmetrize,
     trivial_monoid,
     word_distances,
 )
+from invgeom.cayley import quasi_generation_witness
 from invgeom.families import chain_semilattice, cyclic_group_table
 
 from conftest import transposition_indices
@@ -57,7 +53,7 @@ def test_edge_count_scales_with_generators(i3, i3_transpositions):
 
 
 def test_schutzenberger_components_i2(i2, i2_swap):
-    parts = schutzenberger_components(i2, [i2_swap])
+    parts = cayley_metric(i2, [i2_swap]).components
     expected = {frozenset(c) for c in i2.lclasses}
     assert {frozenset(c) for c in parts} == expected
     sizes = sorted(len(c) for c in parts)
@@ -66,26 +62,26 @@ def test_schutzenberger_components_i2(i2, i2_swap):
 
 def test_schutzenberger_single_component_for_group():
     z3 = from_table(cyclic_group_table(3), 0)
-    parts = schutzenberger_components(z3, [1])
+    parts = cayley_metric(z3, [1]).components
     assert len(parts) == 1
 
 
 def test_schutzenberger_singletons_for_semilattice():
     lattice = from_table(chain_semilattice(3), 2)
-    parts = schutzenberger_components(lattice, [])
+    parts = cayley_metric(lattice, []).components
     assert all(len(c) == 1 for c in parts)
     assert len(parts) == 3
 
 
 def test_schutzenberger_detects_non_generation(i2):
-    with pytest.raises(ValidationError, match="generate"):
-        schutzenberger_components(i2, [])
+    with pytest.raises(PreconditionError, match="not quasi-generating"):
+        cayley_metric(i2, [])
 
 
 def test_is_quasi_generating(i2, i2_swap):
-    assert is_quasi_generating(i2, range(i2.order))
-    assert is_quasi_generating(i2, [i2_swap])
-    assert not is_quasi_generating(i2, [])
+    assert quasi_generation_witness(i2, range(i2.order)) is None
+    assert quasi_generation_witness(i2, [i2_swap]) is None
+    assert quasi_generation_witness(i2, []) is not None
 
 
 def test_cayley_metric_examples(i2, i2_swap):
@@ -157,32 +153,6 @@ def test_uniform_discreteness(i3, i3_transpositions):
     table = cayley_metric(i3, i3_transpositions).metric.table
     off = table[~np.eye(i3.order, dtype=bool)]
     assert off[np.isfinite(off)].min() >= 1
-
-
-def test_bilipschitz_equal_sets(i3, i3_transpositions):
-    l1, l2 = bilipschitz_constants(i3, i3_transpositions, i3_transpositions)
-    assert (l1, l2) == (1, 1)
-
-
-def test_bilipschitz_i3_two_generating_sets(i3, i3_transpositions):
-    cycle = elt(i3, 1, 2, 0)
-    other = (cycle, i3.inv(cycle), i3_transpositions[0])
-    l1, l2 = bilipschitz_constants(i3, i3_transpositions, other)
-    assert l1 >= 1 and l2 >= 1
-    dm = cayley_metric(i3, i3_transpositions).metric.table
-    dn = cayley_metric(i3, other).metric.table
-    mask = np.isfinite(dm)
-    assert np.all(dn[mask] <= float(l1) * dm[mask])
-    assert np.all(dm[mask] <= float(l2) * dn[mask])
-    # constants are attained somewhere
-    assert np.any(dn[mask] * 1.0 == float(l1) * dm[mask])
-
-
-def test_reduce_quasi_generators(i3, i3_transpositions):
-    reduced = reduce_quasi_generators(i3, i3_transpositions)
-    assert set(reduced) <= set(symmetrize(i3, i3_transpositions))
-    assert is_quasi_generating(i3, reduced)
-    assert len(reduced) < len(i3_transpositions)
 
 
 def test_edge_pairing_within_lclasses(i4, i4_transpositions):

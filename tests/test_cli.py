@@ -2,9 +2,8 @@ import json
 
 import pytest
 
-from invgeom import ParseError, fileio
+from invgeom import fileio
 from invgeom.cli import main
-from invgeom.config import default_config
 
 
 @pytest.fixture(scope="module")
@@ -198,20 +197,6 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_cap_environment_variable(monkeypatch):
-    from invgeom.config import ENV_CAP, default_config
-
-    monkeypatch.setenv(ENV_CAP, "17")
-    cfg = default_config()
-    assert cfg.assoc_exhaustive_cap == 17
-    assert cfg.triple_exhaustive_cap == 17
-    monkeypatch.setenv(ENV_CAP, "abc")
-    with pytest.raises(ParseError, match=ENV_CAP):
-        default_config()
-    monkeypatch.delenv(ENV_CAP)
-    assert default_config().assoc_exhaustive_cap == 512
-
-
 def test_chain_example_emit_and_verify(tmp_path):
     assert main(["examples", "emit", "chain3_z3", "--out-dir", str(tmp_path)]) == 0
     code = main(
@@ -220,17 +205,16 @@ def test_chain_example_emit_and_verify(tmp_path):
     assert code == 0
 
 
-def test_verify_rejects_negative_cap(i2_files, monkeypatch, capsys):
-    from invgeom.config import ENV_CAP
-
+def test_verify_has_no_sampling_knobs(i2_files, monkeypatch, capsys):
     action = str(i2_files / "i2.action.json")
-    assert main(["verify", "--input", action, "--cap-exhaustive", "-5"]) == 2
-    assert "--cap-exhaustive" in capsys.readouterr().err
-    monkeypatch.setenv(ENV_CAP, "-5")
-    assert main(["verify", "--input", action]) == 2
-    assert ENV_CAP in capsys.readouterr().err
-    with pytest.raises(ParseError, match=ENV_CAP):
-        default_config()
+    for flag in ("--seed", "--cap-exhaustive"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--input", action, flag, "5"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+    # every sweep is exhaustive, so the old cap variable changes nothing
+    monkeypatch.setenv("INVGEOM_CAP_EXHAUSTIVE", "-5")
+    assert main(["verify", "--input", action]) == 0
 
 
 def test_verify_rejects_basepoint_outside_identity_fiber(i2_files, capsys):

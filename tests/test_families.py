@@ -8,13 +8,13 @@ from invgeom import (
     build_example,
     cayley_presheaf,
     cayley_self_action,
-    is_quasi_generating,
     list_examples,
     partial_bijection_count,
     semilattice_times_group,
     symmetric_inverse_monoid,
     validate_action,
 )
+from invgeom.cayley import quasi_generation_witness
 from invgeom.families import chain_semilattice, cyclic_group_table
 
 from conftest import enumerate_partial_bijections
@@ -103,7 +103,7 @@ def test_registry_lists_and_builds():
             continue  # larger fixtures exercised elsewhere
         built = build_example(spec.name)
         assert built.monoid.order >= 1
-        assert is_quasi_generating(built.monoid, built.quasi_generators)
+        assert quasi_generation_witness(built.monoid, built.quasi_generators) is None
         action = cayley_self_action(built.monoid, built.quasi_generators)
         assert validate_action(action) == []
 

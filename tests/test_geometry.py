@@ -6,11 +6,12 @@ import pytest
 
 from invgeom import (
     INFINITE,
+    ExtendedMetric,
     PreconditionError,
+    RipsGraph,
     cayley_metric,
     cayley_self_action,
     extract_generators,
-    factorization_step_bounds,
     from_table,
     orbit_inequalities,
     orbit_map_qi,
@@ -27,6 +28,7 @@ from invgeom import (
 from invgeom.action import coset_cover_holds
 from invgeom.extmetric import metric_from_int_table
 from invgeom.families import chain_semilattice, cyclic_group_table
+from invgeom.report import Violation
 from invgeom.verify import run_verification
 
 from test_action import half_rotation_action
@@ -132,14 +134,6 @@ def test_orbit_inequalities_empty(i2, i2_swap, i3, i3_transpositions, i2_action,
     assert orbit_inequalities(i3_action, i3.identity, word3) == []
 
 
-def test_factorization_step_bounds(i3, i3_transpositions, i3_action):
-    word = cayley_metric(i3, i3_transpositions)
-    viols = factorization_step_bounds(
-        i3_action, i3.identity, word, samples=40, seed=7
-    )
-    assert viols == []
-
-
 def test_rips_radius_zero(i2, i2_swap, i2_action):
     rips = rips_graph(i2_action, i2.identity, 0)
     # the orbit map is injective here, so no two elements are adjacent
@@ -223,16 +217,6 @@ def test_metric_predicates_rips(i3, i3_transpositions, i3_action):
         assert tuple(report.uniform_properness.data["f1"]) == tuple(sorted(f1))
 
 
-def test_metric_predicates_sampled_triples(i3, i3_transpositions):
-    from invgeom import SweepConfig
-
-    cm = cayley_metric(i3, i3_transpositions)
-    cfg = SweepConfig(triple_exhaustive_cap=8, triple_samples=20_000)
-    report = validate_metric_predicates(i3, cm.metric, config=cfg)
-    assert report.right_subinvariance.passed
-    assert report.right_subinvariance.data.get("sampled") is True
-
-
 def test_metric_predicates_catch_wrong_components(i2, i2_swap):
     cm = cayley_metric(i2, [i2_swap])
     bad = np.array(cm.metric.table)
@@ -307,6 +291,90 @@ def test_rips_embedding_bounds_at_fractional_radius():
     assert rips_embedding_bounds(act, 0, rips) == []
     checks, passed = run_verification(act, (1, 7), radius=Fraction(3, 2))
     assert passed, [str(c) for c in checks if not c.passed]
+
+
+def _rips_bounds_oracle(a, x1, rips):
+    """The bounds of ``rips_embedding_bounds`` as one Fraction test per pair."""
+    r, step = rips.radius, math.floor(rips.radius)
+    orbit = np.asarray(a.act[x1, :], dtype=np.intp)
+    fiber_d = a.presheaf.metric.table[np.ix_(orbit, orbit)]
+    out = []
+    for s, t in np.argwhere(np.isfinite(fiber_d)).tolist():
+        d, dr = int(fiber_d[s, t]), rips.metric.table[s, t]
+        if math.isinf(dr):
+            out.append(Violation("rips-finite", (s, t),
+                                 "orbit distance finite but Rips distance infinite"))
+            continue
+        dr = int(dr)
+        if Fraction(dr) > Fraction(d, step) + 1:
+            out.append(Violation("rips-upper", (s, t), f"d_R={dr} > {d}/{step} + 1"))
+        if Fraction(d) > r * dr:
+            out.append(Violation("rips-lipschitz", (s, t), f"d={d} > ({r}) * {dr}"))
+    return out
+
+
+@pytest.mark.parametrize(
+    "radius", [1, Fraction(3, 2), 2, Fraction(7, 3), 10**30 + Fraction(1, 3)]
+)
+def test_rips_embedding_bounds_match_the_fraction_oracle(i3, i3_action, radius):
+    x1 = i3.identity
+    rips = rips_graph(i3_action, x1, radius)
+    table = rips.metric.table
+    rng = np.random.default_rng(3)
+    finite = np.argwhere(np.isfinite(table))
+    # every Rips value from 0 to 6 at a few pairs crosses each bound's edge
+    tampers = [None] + [
+        (s, t, value)
+        for s, t in finite[rng.choice(len(finite), 4, replace=False)]
+        for value in (INFINITE, *range(7))
+        if value != table[s, t]
+    ]
+    kinds = set()
+    for tamper in tampers:
+        metric = np.array(table)
+        if tamper is not None:
+            s, t, value = tamper
+            metric[s, t] = value
+        bent = RipsGraph(radius=rips.radius, adjacency=rips.adjacency,
+                         metric=ExtendedMetric(metric))
+        found = rips_embedding_bounds(i3_action, x1, bent)
+        assert found == _rips_bounds_oracle(i3_action, x1, bent), tamper
+        kinds |= {v.check for v in found}
+    assert kinds == {"rips-finite", "rips-upper", "rips-lipschitz"}
+
+
+def _subinvariance_violations(monoid, table):
+    """Every x with d(s x, u x) > d(s, u) for some s, u: the all-x sweep."""
+    return [
+        x
+        for x in range(monoid.order)
+        if np.any(table[np.ix_(monoid.product[:, x], monoid.product[:, x])] > table)
+    ]
+
+
+def test_right_subinvariance_over_generators_matches_all_x(i3, i3_transpositions):
+    table = cayley_metric(i3, i3_transpositions).metric.table
+    gens = set(i3.generating_set)
+    rng = np.random.default_rng(0)
+    finite = np.argwhere(np.isfinite(table) & (table > 0))
+    outside = 0
+    for _ in range(20):
+        s, u = finite[rng.integers(len(finite))]
+        bent = np.array(table)
+        bent[s, u] -= 1
+        check = validate_metric_predicates(i3, ExtendedMetric(bent)).right_subinvariance
+        violators = _subinvariance_violations(i3, bent)
+        assert check.passed == (not violators)
+        if violators:
+            a, b, x = check.witness
+            # the least violator is in G: G holds each element that the
+            # elements before it do not generate
+            assert x == violators[0] and x in gens
+            assert bent[i3.mul(a, x), i3.mul(b, x)] > bent[a, b]
+            # swept from the last index down, the first violator lies outside G
+            outside += violators[-1] not in gens
+    assert outside > 0
+    assert _subinvariance_violations(i3, table) == []
 
 
 def test_uniform_properness_fails_without_a_needed_letter():

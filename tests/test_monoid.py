@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from invgeom import (
     natural_leq_matrix,
     trivial_monoid,
 )
-from invgeom.families import symmetric_inverse_generators
+from invgeom import monoid as monoid_module
+from invgeom.families import build_example, symmetric_inverse_generators
+from invgeom.monoid import _check_associativity, generating_set
 from invgeom.partial_bijection import compose, invert
 
 from conftest import enumerate_partial_bijections
@@ -215,25 +219,21 @@ def test_lclasses_partition(i3):
         assert len(doms) == 1
 
 
-def test_mulclose():
+def test_mulclose(i3):
     m = trivial_monoid()
     assert mulclose(m.product, {0}) == frozenset({0})
     assert mulclose(m.product, set()) == frozenset()
-
-
-def test_sampled_associativity_path():
-    from invgeom import SweepConfig
-
-    cfg = SweepConfig(assoc_exhaustive_cap=2, assoc_samples=5000)
-    m = generate_monoid([swap, e0], config=cfg)
-    assert m.order == 7
-    table = [
-        [0, 1, 2],
-        [1, 2, 1],
-        [2, 1, 1],
-    ]
-    with pytest.raises(ValidationError):
-        from_table(table, 0, config=cfg)
+    # against a brute-force fixpoint of all pairwise products
+    rng = np.random.default_rng(5)
+    for size in (1, 1, 2, 2, 3):
+        seeds = set(rng.choice(i3.order, size, replace=False).tolist())
+        closure = set(seeds)
+        while True:
+            grown = closure | {i3.mul(a, b) for a in closure for b in closure}
+            if grown == closure:
+                break
+            closure = grown
+        assert mulclose(i3.product, seeds) == closure
 
 
 @st.composite
@@ -353,3 +353,75 @@ def test_candidate_inverse_needs_commuting_idempotents():
     table = np.array([[0, 1, 2], [1, 1, 1], [2, 2, 2]])
     with pytest.raises(ValidationError, match="commute"):
         build_from_tables(table, 0, inverse=np.arange(3))
+
+
+def test_generating_set_generates(i3, i4):
+    for m in (i3, i4):
+        gens = m.generating_set
+        assert gens == generating_set(m.product)
+        assert mulclose(m.product, gens) == frozenset(range(m.order))
+        # each kept element is outside the closure of those kept before it
+        for k, g in enumerate(gens):
+            assert g not in mulclose(m.product, gens[:k])
+    assert trivial_monoid().generating_set == (0,)
+
+
+def _bad_triple(product):
+    """The first (i, j, k) with (i j) k != i (j k): the full N^3 sweep."""
+    for i in range(product.shape[0]):
+        bad = np.argwhere(product[product[i, :], :] != product[i, product])
+        if bad.size:
+            return (i, int(bad[0][0]), int(bad[0][1]))
+    return None
+
+
+def _one_entry_tampers(product, count, seed):
+    """Copies of a table with one seeded entry set to another index."""
+    n = product.shape[0]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        a, b = (int(x) for x in rng.integers(n, size=2))
+        v = int(rng.integers(n - 1))
+        table = np.array(product)
+        table[a, b] = v + (v >= product[a, b])
+        yield table
+
+
+@pytest.mark.parametrize("name", ["i3", "i4"])
+def test_light_test_agrees_with_the_full_sweep(name, request):
+    m = request.getfixturevalue(name)
+    assert _bad_triple(m.product) is None
+    _check_associativity(m.product)
+    for table in _one_entry_tampers(m.product, 12, seed=1):
+        oracle = _bad_triple(table)
+        try:
+            _check_associativity(table)
+        except ValidationError as err:
+            a, g, c = err.witness
+            assert table[table[a, g], c] != table[a, table[g, c]]
+            assert g in generating_set(table)
+            assert oracle is not None
+        else:
+            assert oracle is None
+
+
+def test_from_table_rejects_one_entry_i5_tampers():
+    # each breaks associativity at few enough triples that a sample of
+    # 100,000 random ones finds none
+    i5 = build_example("i5").monoid
+    for table in _one_entry_tampers(i5.product, 3, seed=0):
+        with pytest.raises(ValidationError, match="not associative") as err:
+            from_table(table, i5.identity)
+        a, g, c = err.value.witness
+        assert table[table[a, g], c] != table[a, table[g, c]]
+
+
+def test_generated_tables_are_not_swept(i3):
+    with patch.object(
+        monoid_module, "generating_set", wraps=monoid_module.generating_set
+    ) as scan:
+        m = generate_monoid(symmetric_inverse_generators(3))
+        assert scan.call_count == 0
+        from_table(m.product, m.identity)
+        assert scan.call_count == 1
+    assert np.array_equal(m.product, i3.product)

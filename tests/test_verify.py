@@ -93,6 +93,18 @@ def test_an_error_inside_a_check_fails_that_check(i2_action):
     assert by_name["rips-quasi-generators-r1"].passed
 
 
+def test_a_failed_metric_build_runs_once(i2_action):
+    with patch.object(verify, "cayley_metric", wraps=verify.cayley_metric) as word:
+        checks, passed = run_verification(i2_action, ())
+    by_name = _by_name(checks)
+    assert not passed
+    assert word.call_count == 1
+    errors = [by_name[name].data["error"]
+              for name in ("word-metric-agreement", "word-metric-predicates")]
+    assert errors[0] == errors[1]
+    assert "not quasi-generating" in errors[0]
+
+
 def test_one_run_builds_each_metric_once(i3_action, i3_transpositions):
     with patch.object(
         verify, "cayley_metric", wraps=verify.cayley_metric
