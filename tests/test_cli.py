@@ -205,16 +205,27 @@ def test_chain_example_emit_and_verify(tmp_path):
     assert code == 0
 
 
-def test_verify_has_no_sampling_knobs(i2_files, monkeypatch, capsys):
+def test_cap_environment_variable(i2_files, monkeypatch, capsys):
+    # every sweep is exhaustive, so the old cap variable changes nothing,
+    # whatever it holds
     action = str(i2_files / "i2.action.json")
-    for flag in ("--seed", "--cap-exhaustive"):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--input", action, flag, "5"])
-        assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
-    # every sweep is exhaustive, so the old cap variable changes nothing
-    monkeypatch.setenv("INVGEOM_CAP_EXHAUSTIVE", "-5")
     assert main(["verify", "--input", action]) == 0
+    expected = capsys.readouterr().out
+    for value in ("17", "abc", "-5"):
+        monkeypatch.setenv("INVGEOM_CAP_EXHAUSTIVE", value)
+        assert main(["verify", "--input", action]) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_verify_rejects_negative_cap(i2_files, capsys):
+    # --cap-exhaustive and --seed are gone: any value is a usage error
+    action = str(i2_files / "i2.action.json")
+    for flag in ("--cap-exhaustive", "--seed"):
+        for value in ("-5", "5"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--input", action, flag, value])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
 
 def test_verify_rejects_basepoint_outside_identity_fiber(i2_files, capsys):
