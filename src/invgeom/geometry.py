@@ -157,7 +157,7 @@ def extract_generators(a, x1, t):
     displacement = table[orbit, orbit[dom]]
     gens = tuple(int(s) for s in np.flatnonzero(displacement <= threshold))
     gen_set = frozenset(gens)
-    starts = np.unique(orbit[dom])
+    starts = np.flatnonzero(np.bincount(orbit[dom]))
     level, parent, column = bfs(p.successors, starts, parents=True)
     certs = []
     for s in range(mon.order):
@@ -464,12 +464,12 @@ def validate_metric_predicates(monoid, metric, f1=None):
         )
     else:
         sizes = {
-            r: len(np.unique(factors[dist <= r]))
+            r: len(set(factors[dist <= r].tolist()))
             for r in range(metric.max_finite() + 1)
         }
         properness = CheckResult("proper", True, data={"factor_counts": sizes})
     if f1 is None:
-        f1 = tuple(int(f) for f in np.unique(factors[dist <= 1]))
+        f1 = tuple(sorted(set(factors[dist <= 1].tolist())))
     else:
         f1 = tuple(sorted(set(int(f) for f in f1)))
     uniform_properness = _check_uniform_properness(monoid, metric, f1)

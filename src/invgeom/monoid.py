@@ -126,7 +126,10 @@ def generating_set(product):
     """A generating set of the table, chosen greedily in index order.
 
     Element s is kept when it is not in the closure of the elements kept
-    before it, so every element lies in the closure of the result.
+    before it, so every element lies in the closure of the result.  Hence
+    a property closed under the product holds on S iff it holds on G, and
+    the least element failing it is in G: an element not kept lies in the
+    closure of smaller kept ones.
     """
     kept, reached = [], frozenset()
     for s in range(product.shape[0]):

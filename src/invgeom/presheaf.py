@@ -7,7 +7,6 @@ are infinite.  Restriction must never increase fiber distances.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -83,11 +82,6 @@ class MetricPresheaf:
     def leq(self, x, y):
         """x <= y iff x is the restriction of y to x's fiber."""
         return int(self.restrict[y, self.proj[x]]) == int(x)
-
-    @cached_property
-    def identity_fiber_index(self):
-        """Base index of the top of the base semilattice, if any."""
-        return self.base.top()
 
     @classmethod
     def build(cls, base, proj, restrict, edges, point_labels=None):
@@ -188,7 +182,7 @@ def validate_presheaf(p):
             out.append(
                 Violation("axiom-3", (int(x), e), "p(x.e) != p(x)e")
             )
-    present = set(int(v) for v in np.unique(proj))
+    present = set(proj.tolist())
     for e in range(k):
         if e not in present:
             out.append(Violation("surjective", (e,), "empty fiber"))

@@ -35,17 +35,16 @@ from .presheaf import validate_presheaf
 from .report import CheckResult
 
 
-def check_edge_pairing(monoid, letters=None):
+def check_edge_pairing(monoid):
     """Within an L-class, every labelled edge reverses under the inverse label.
 
     For every label x and every t: with s = x t, if dom(s) = dom(t) then
     t = x^-1 s, and when x is idempotent additionally s = t.
     """
-    letters = range(monoid.order) if letters is None else letters
     dom = monoid.dom_table
     elems = np.arange(monoid.order)
     checked = 0
-    for x in letters:
+    for x in range(monoid.order):
         s_vec = monoid.product[x, :]
         same = dom[s_vec] == dom
         checked += int(same.sum())
@@ -97,7 +96,13 @@ def check_word_metric_agreement(monoid, gens, metric_table):
 
 
 def check_theta_all(action):
-    for s in range(action.monoid.order):
+    """Is every theta_s an isometry?  Sweeps s over the generating set G.
+
+    That is exact given the action axioms, this check's prerequisite: if
+    theta_s and theta_u are isometries, then for x in X.su(su)^-1 the
+    point x.s lies in X.uu^-1, and theta_su = theta_u theta_s.
+    """
+    for s in action.monoid.generating_set:
         ok, witness = check_theta_isometry(action, s)
         if not ok:
             return CheckResult("theta-isometry", False, witness=witness)

@@ -19,6 +19,7 @@ from invgeom import (
 )
 from invgeom.action import _qualifying, coset_cover_holds
 from invgeom.families import cyclic_group_table
+from invgeom.report import Violation
 
 
 def elt(monoid, *image):
@@ -90,6 +91,111 @@ def test_tampered_action_reports_lipschitz(i3, i3_transpositions, i3_action):
     assert "lipschitz" in kinds
     lip = next(viol for viol in report if viol.check == "lipschitz")
     assert len(lip.witness) == 3
+
+
+def sweep_every_element(a):
+    """The action axioms with s swept over every element: the reference oracle.
+
+    Same checks, order and witnesses as ``validate_action``, with no
+    closure argument: each of the law, fiber preservation and 1-Lipschitz
+    is tested for every s.
+    """
+    out = []
+    mon, p, act = a.monoid, a.presheaf, a.act
+    n = mon.order
+    idem = mon.idempotents
+    local = {e: i for i, e in enumerate(idem)}
+    for i, e in enumerate(idem):
+        for x in np.flatnonzero(act[:, e] != p.restrict[:, i])[:1]:
+            out.append(Violation("extends-restriction", (int(x), e)))
+    product = mon.product
+    for s in range(n):
+        lhs = act[act[:, s], :]
+        rhs = act[:, product[s, :]]
+        if not np.array_equal(lhs, rhs):
+            x, t = np.argwhere(lhs != rhs)[0]
+            out.append(Violation("action-law", (int(x), s, int(t))))
+    conj = np.array(
+        [[local[int(product[product[mon.inv(s), e], s])] for s in range(n)]
+         for e in idem]
+    )
+    proj = p.proj
+    for s in range(n):
+        for x in np.flatnonzero(proj[act[:, s]] != conj[proj, s])[:1]:
+            out.append(Violation("fiber-preservation", (int(x), s)))
+    table = p.metric.table
+    for i in range(len(idem)):
+        pts = np.flatnonzero(proj == i)
+        sub = table[np.ix_(pts, pts)]
+        for s in range(n):
+            imgs = act[pts, s]
+            for bi, bj in np.argwhere(table[np.ix_(imgs, imgs)] > sub)[:1]:
+                out.append(Violation("lipschitz", (int(pts[bi]), int(pts[bj]), s)))
+    return out
+
+
+def theta_every_element(a):
+    return all(check_theta_isometry(a, s)[0] for s in range(a.monoid.order))
+
+
+@pytest.mark.parametrize("name", ["i3", "i4"])
+def test_generator_sweep_matches_every_element_sweep(name, request):
+    """Seeded one-entry tampers of act, in columns outside G and E(S).
+
+    The generator sweep fails iff the sweep of every element does, with
+    the same first finding unless that finding is a 1-Lipschitz one.
+    """
+    monoid = request.getfixturevalue(name)
+    action = cayley_self_action(
+        monoid, request.getfixturevalue(f"{name}_transpositions")
+    )
+    assert sweep_every_element(action) == []
+    assert theta_every_element(action)
+    swept = set(monoid.generating_set) | set(monoid.idempotents)
+    columns = [s for s in range(monoid.order) if s not in swept]
+    rng = np.random.default_rng(7)
+    m = action.presheaf.num_points
+    for _ in range(12):
+        x, s = int(rng.integers(m)), int(rng.choice(columns))
+        bad = np.array(action.act)
+        bad[x, s] = (bad[x, s] + rng.integers(1, m)) % m
+        tampered = dataclasses.replace(action, act=bad)
+        found, oracle = validate_action(tampered), sweep_every_element(tampered)
+        assert bool(found) == bool(oracle), (x, s)
+        if oracle[0].check != "lipschitz":
+            assert found[0].check == oracle[0].check, (x, s)
+            assert found[0].witness == oracle[0].witness, (x, s)
+        if not found:
+            assert theta_every_element(tampered), (x, s)
+
+
+def relabel(monoid, order):
+    """The monoid with element order[i] renamed i."""
+    new = np.empty(monoid.order, dtype=np.intp)
+    new[order] = np.arange(monoid.order)
+    product = new[monoid.product][np.ix_(order, order)]
+    return from_table(product, int(new[monoid.identity])), new
+
+
+def test_tampered_identity_column_outside_generators(i3, i3_transpositions):
+    """The identity tamper of test_tampered_action_reports_lipschitz, with
+    I3 relabelled so that its identity is generated by smaller units."""
+    order = [s for s in range(i3.order) if s != i3.identity] + [i3.identity]
+    monoid, new = relabel(i3, order)
+    assert monoid.identity not in monoid.generating_set
+    action = cayley_self_action(monoid, tuple(int(new[t]) for t in i3_transpositions))
+    assert validate_action(action) == []
+    table = action.presheaf.metric.table
+    one = monoid.identity
+    units = [s for s in range(monoid.order) if monoid.dom(s) == one]
+    u = units[0]
+    v = next(w for w in units[1:] if table[u, w] == 1)
+    far = next(w for w in units if table[w, action.apply(v, one)] == 2)
+    bad = np.array(action.act)
+    bad[u, one] = far
+    tampered = dataclasses.replace(action, act=bad)
+    assert "lipschitz" in {viol.check for viol in sweep_every_element(tampered)}
+    assert validate_action(tampered) != []
 
 
 def test_tampered_action_reports_fiber_preservation(i2, i2_action):

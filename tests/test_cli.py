@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import invgeom
 from invgeom import fileio
 from invgeom.cli import main
 
@@ -247,3 +252,21 @@ def test_verify_rejects_out_of_range_act_entry(i2_files, tmp_path, capsys):
     (tmp_path / "i2.action.json").write_text(json.dumps(data))
     assert main(["verify", "--input", str(tmp_path / "i2.action.json")]) == 2
     assert "act[0][0]" in capsys.readouterr().err
+
+
+def test_verify_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs some 15 ms of imports per op, and verify needs none of it
+    assert main(["examples", "emit", "i3", "--out-dir", str(tmp_path)]) == 0
+    action = str(tmp_path / "i3.action.json")
+    code = (
+        "import sys\n"
+        "from invgeom.cli import main\n"
+        f"assert main(['verify', '--input', {action!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(invgeom.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "False"

@@ -44,7 +44,6 @@ def test_single_fiber_presheaf_valid():
     p = single_fiber_presheaf()
     assert validate_presheaf(p) == []
     assert p.distance(0, 1) == 1
-    assert p.identity_fiber_index == 0
 
 
 def test_disconnected_fiber_rejected():

@@ -36,6 +36,7 @@ DIGESTS = {
     ("chain3_z3", 2): "1e4d79475e75f24f49503c5441b7f83cdcd72ea8cc292ddc4e64d665d1456c7f",
     ("chain3_z3", 3): "7f617a1accf48852552921e614254e7f732b7c3ec84a32306781a251eacadd15",
     ("i4", 1): "950309d2fd69562aa888c7dfb69073a25d8d2c6f3b6097d723476cb2d0a4afd4",
+    ("i5", 1): "6193679de23597f16dc35cb15efca5a7ae402a03e2e5fe7827879dd510a9a979",
 }
 
 
