@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -183,42 +182,26 @@ def properness_witness(a, y1, radius):
     """A finite C whose idempotent cosets cover the radius-bounded elements.
 
     Qualifying elements are those moved at most ``radius`` away from their
-    restriction to dom; they are covered greedily by translates f.E(S).
-    The exact minimum cover is computed instead when at most 20 distinct
-    candidate cosets intersect the qualifying set.
+    restriction to dom.  Properness asks only for some finite cover by
+    translates f.E(S), not a least one, and the monoid is finite, so the
+    greedy cover (largest new hit first, ties to the least f) witnesses it;
+    ``coset_cover_holds`` checks the cover independently.
     """
     p = a.presheaf
     if int(p.proj[y1]) != a.identity_base:
         raise PreconditionError(
             f"basepoint {y1} is not in the identity fiber", witness=(y1,)
         )
-    goal = set(_qualifying(a, y1, radius))
+    uncovered = set(_qualifying(a, y1, radius))
     mon = a.monoid
     cosets = mon.product[:, np.array(mon.idempotents, dtype=np.intp)]
-    candidates = {}
-    for f in range(mon.order):
-        hit = frozenset(int(x) for x in cosets[f]) & frozenset(goal)
-        if hit and (hit not in candidates.values()):
-            candidates[f] = hit
-    if len(candidates) <= 20:
-        reps = sorted(candidates)
-        for size in range(1, len(reps) + 1):
-            for combo in combinations(reps, size):
-                covered = set()
-                for f in combo:
-                    covered |= candidates[f]
-                if covered >= goal:
-                    return tuple(combo)
+    hits = [uncovered.intersection(row) for row in cosets.tolist()]
     chosen = []
-    uncovered = set(goal)
     while uncovered:
-        best_f, best_gain = None, -1
-        for f, hit in candidates.items():
-            gain = len(hit & uncovered)
-            if gain > best_gain or (gain == best_gain and f < best_f):
-                best_f, best_gain = f, gain
-        chosen.append(best_f)
-        uncovered -= candidates[best_f]
+        # max keeps the first of equal gains, so ties go to the least f
+        best = max(range(mon.order), key=lambda f: len(hits[f] & uncovered))
+        chosen.append(best)
+        uncovered -= hits[best]
     return tuple(sorted(chosen))
 
 

@@ -6,7 +6,6 @@ Every sweep is exhaustive, so a report depends on its inputs alone.
 """
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -63,16 +62,7 @@ def _basepoint(args, action):
 
 def _load_setup(args):
     """Resolve --input to (monoid, gens, action-or-None)."""
-    try:
-        data = json.loads(Path(args.input).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.input}: invalid JSON at line {exc.lineno}")
-    if "act" in data:
-        action, file_gens = fileio.load_action(args.input)
-        monoid = action.monoid
-    else:
-        monoid, file_gens = fileio.load_monoid_any(args.input)
-        action = None
+    monoid, file_gens, action = fileio.load_input(args.input)
     gens = _parse_gens(getattr(args, "gens", None))
     for g in gens or ():
         if not 0 <= g < monoid.order:

@@ -6,7 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, PreconditionError, TheoremViolationError, ValidationError
-from .monoid import InverseMonoid, build_from_tables, generate_monoid, trivial_monoid
+from .monoid import (
+    InverseMonoid, build_from_tables, generate_monoid, generator_indices, trivial_monoid
+)
 from .partial_bijection import PartialBijection
 from .presheaf import Semilattice
 
@@ -42,12 +44,6 @@ def symmetric_inverse_monoid(n):
             f"closure produced {monoid.order} elements, expected {expected}"
         )
     return monoid
-
-
-def generator_indices(monoid, gens):
-    """Indices of the given partial bijections inside the built monoid."""
-    index = {f.image: i for i, f in enumerate(monoid.elements)}
-    return tuple(sorted(index[g.image] for g in gens))
 
 
 def chain_semilattice(k):

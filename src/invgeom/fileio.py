@@ -14,7 +14,7 @@ import numpy as np
 
 from .action import EtaleAction
 from .errors import ParseError
-from .monoid import from_table, generate_monoid
+from .monoid import from_table, generate_monoid, generator_indices
 from .partial_bijection import UNDEFINED, PartialBijection
 from .presheaf import MetricPresheaf, Semilattice
 
@@ -28,10 +28,14 @@ def _write(path, text):
 
 
 def _read_json(path):
+    """The JSON object in ``path``; every file format is one object."""
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: top level is not a JSON object")
+    return data
 
 
 def _require(data, field, kind, path):
@@ -92,7 +96,10 @@ def save_generator_file(path, ground_size, generators):
 
 
 def load_generator_file(path):
-    data = _read_json(path)
+    return _generators(path, _read_json(path))
+
+
+def _generators(path, data):
     n = _require(data, "ground_size", int, path)
     if n < 1:
         raise ParseError(f"{path}: ground_size must be positive", field="ground_size")
@@ -132,7 +139,10 @@ def save_monoid_table(path, monoid):
 
 
 def load_monoid_table(path):
-    data = _read_json(path)
+    return _table(path, _read_json(path))
+
+
+def _table(path, data):
     order = _require(data, "order", int, path)
     identity = _require(data, "identity", int, path)
     if not _is_index(identity, order):
@@ -143,20 +153,31 @@ def load_monoid_table(path):
 
 
 def load_monoid_any(path):
-    """Load either a generator file or a table file.
+    """(monoid, indices of a generator file's generators, or None for a table)."""
+    return _monoid(path, _read_json(path))
 
-    Returns (monoid, generator_indices) where the indices are the file
-    generators located inside the built monoid, or None for table files.
+
+def _monoid(path, data):
+    if "generators" in data:
+        n, gens = _generators(path, data)
+        monoid = generate_monoid(gens, ground_size=n)
+        return monoid, generator_indices(monoid, gens)
+    if "product" in data:
+        return _table(path, data), None
+    raise ParseError(f"{path}: neither a generator file nor a table file")
+
+
+def load_input(path):
+    """(monoid, gens, action or None) from a command's input file, read once.
+
+    The first top-level field present of ``act`` (action file), ``generators``
+    and ``product`` decides the kind; ``gens`` are the file's own, or None.
     """
     data = _read_json(path)
-    if "generators" in data:
-        n, gens = load_generator_file(path)
-        monoid = generate_monoid(gens, ground_size=n)
-        index = {f.image: i for i, f in enumerate(monoid.elements)}
-        return monoid, tuple(sorted({index[g.image] for g in gens}))
-    if "product" in data:
-        return load_monoid_table(path), None
-    raise ParseError(f"{path}: neither a generator file nor a table file")
+    if "act" in data:
+        action, gens = load_action(path, data)
+        return action.monoid, gens, action
+    return (*_monoid(path, data), None)
 
 
 def save_presheaf(path, presheaf):
@@ -232,9 +253,8 @@ def save_action(path, action, monoid_path, presheaf_path, gens=None):
     _write(path, dumps_canonical(data))
 
 
-def load_action(path):
-    """Returns (action, gens) where gens is the stored set or None."""
-    data = _read_json(path)
+def load_action(path, data):
+    """(action, stored gens or None) from the parsed action file at ``path``."""
     monoid_rel = _require(data, "monoid", str, path)
     presheaf_rel = _require(data, "presheaf", str, path)
     act = _require(data, "act", list, path)
@@ -242,6 +262,11 @@ def load_action(path):
     root = Path(path).parent
     monoid, _ = load_monoid_any(root / monoid_rel)
     presheaf = load_presheaf(root / presheaf_rel)
+    if presheaf.base.labels != monoid.idempotents:
+        raise ParseError(
+            f"{root / presheaf_rel}: labels are not the monoid's idempotents in order",
+            field="labels",
+        )
     points = presheaf.num_points
     _check_index_table(act, (points, monoid.order), points, path, "act")
     if gens is not None:

@@ -331,5 +331,11 @@ def generate_monoid(gens, element_cap=100_000, ground_size=None):
     )
 
 
+def generator_indices(monoid, gens):
+    """Sorted indices, without repeats, of partial bijections in ``monoid``."""
+    index = {f.image: i for i, f in enumerate(monoid.elements)}
+    return tuple(sorted({index[g.image] for g in gens}))
+
+
 def trivial_monoid():
     return build_from_tables(np.zeros((1, 1), dtype=np.int16), 0)

@@ -66,7 +66,6 @@ class MetricPresheaf:
     edges: tuple          # (u, v, label-or-None), oriented, within fibers
     metric: ExtendedMetric
     successors: np.ndarray  # (m, width) in-fiber neighbours, padded with the point
-    point_labels: tuple | None = None
 
     @property
     def num_points(self):
@@ -84,7 +83,7 @@ class MetricPresheaf:
         return int(self.restrict[y, self.proj[x]]) == int(x)
 
     @classmethod
-    def build(cls, base, proj, restrict, edges, point_labels=None):
+    def build(cls, base, proj, restrict, edges):
         """Assemble a presheaf, rejecting cross-fiber or disconnected data.
 
         Edges must join points of a common fiber, and every nonempty fiber
@@ -143,7 +142,6 @@ class MetricPresheaf:
             edges=tuple(cleaned),
             metric=metric,
             successors=successors,
-            point_labels=point_labels,
         )
 
 
@@ -241,9 +239,4 @@ def cayley_presheaf(monoid, gens):
         (int(s), int(succ[s, j]), sym[j])
         for j, s in zip(*np.nonzero(succ.T != np.arange(n)))
     ]
-    labels = None
-    if monoid.elements is not None:
-        labels = tuple(f.short() for f in monoid.elements)
-    return MetricPresheaf.build(
-        base, proj, restrict, edges, point_labels=labels
-    )
+    return MetricPresheaf.build(base, proj, restrict, edges)

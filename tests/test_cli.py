@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -27,7 +28,7 @@ def test_examples_list(capsys):
 def test_examples_emit_writes_loadable_files(i2_files):
     monoid, gens = fileio.load_monoid_any(i2_files / "i2.monoid.json")
     assert monoid.order == 7 and gens is None
-    action, stored = fileio.load_action(i2_files / "i2.action.json")
+    _, stored, action = fileio.load_input(i2_files / "i2.action.json")
     assert action.monoid.order == 7
     assert stored is not None and len(stored) == 1
 
@@ -234,7 +235,7 @@ def test_verify_rejects_negative_cap(i2_files, capsys):
 
 
 def test_verify_rejects_basepoint_outside_identity_fiber(i2_files, capsys):
-    action, _ = fileio.load_action(i2_files / "i2.action.json")
+    _, _, action = fileio.load_input(i2_files / "i2.action.json")
     points = set(range(action.presheaf.num_points))
     outside = min(points - set(action.identity_fiber()))
     args = ["verify", "--input", str(i2_files / "i2.action.json")]
@@ -270,3 +271,64 @@ def test_verify_leaves_numpy_ma_unimported(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def _copy_i2(i2_files, tmp_path, *names):
+    for name in names:
+        (tmp_path / name).write_bytes((i2_files / name).read_bytes())
+
+
+@pytest.mark.parametrize(
+    "command,name,calls",
+    [
+        ("verify", "i2.action.json", 3),  # with the monoid and presheaf it names
+        ("verify", "i2.gens.json", 1),
+        ("verify", "i2.monoid.json", 1),
+        ("gen", "i2.gens.json", 1),
+    ],
+)
+def test_every_input_file_is_parsed_once(
+    i2_files, tmp_path, capsys, command, name, calls
+):
+    args = [command, "--input", str(i2_files / name)]
+    if command == "gen":
+        args += ["--out", str(tmp_path / "m.json")]
+    with mock.patch("json.loads", wraps=json.loads) as loads:
+        assert main(args) == 0
+    assert loads.call_count == calls
+
+
+@pytest.mark.parametrize("text", ["5", "null", "true", '"react"', "[1]"])
+@pytest.mark.parametrize("target", ["verify", "gen", "presheaf"])
+def test_top_level_that_is_not_an_object_exits_2(
+    i2_files, tmp_path, capsys, target, text
+):
+    _copy_i2(i2_files, tmp_path, "i2.monoid.json", "i2.presheaf.json", "i2.action.json")
+    if target == "presheaf":
+        bad = tmp_path / "i2.presheaf.json"
+        args = ["verify", "--input", str(tmp_path / "i2.action.json")]
+    else:
+        bad = tmp_path / "x.json"
+        args = [target, "--input", str(bad)]
+        args += ["--out", str(tmp_path / "out.json")] if target == "gen" else []
+    bad.write_text(text)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{bad}: top level is not a JSON object" in err
+
+
+@pytest.mark.parametrize("change", ["out-of-range", "null", "reversed"])
+def test_presheaf_labels_must_be_the_idempotents(i2_files, tmp_path, capsys, change):
+    _copy_i2(i2_files, tmp_path, "i2.monoid.json", "i2.action.json")
+    data = json.loads((i2_files / "i2.presheaf.json").read_text())
+    labels = data["base"]["labels"]
+    data["base"]["labels"] = {
+        "out-of-range": [999, *labels[1:]],
+        "null": None,
+        "reversed": labels[::-1],
+    }[change]
+    (tmp_path / "i2.presheaf.json").write_text(json.dumps(data))
+    assert main(["verify", "--input", str(tmp_path / "i2.action.json")]) == 2
+    err = capsys.readouterr().err
+    assert "i2.presheaf.json: labels" in err and "idempotents" in err

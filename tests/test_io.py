@@ -43,12 +43,11 @@ def test_monoid_table_round_trip(tmp_path, i2):
 
 def test_load_monoid_any_from_generators(tmp_path):
     path = tmp_path / "gens.json"
-    fileio.save_generator_file(
-        path, 2, [PartialBijection.transposition(2, 0, 1)]
-    )
+    swap = PartialBijection.transposition(2, 0, 1)
+    fileio.save_generator_file(path, 2, [swap, swap])
     monoid, gens = fileio.load_monoid_any(path)
     assert monoid.order == 2
-    assert gens is not None and len(gens) == 1
+    assert gens is not None and len(gens) == 1  # repeats are dropped
 
 
 def test_presheaf_round_trip(tmp_path, i3, i3_transpositions):
@@ -70,7 +69,7 @@ def test_action_round_trip(tmp_path, i2, i2_swap, i2_action):
     fileio.save_action(
         tmp_path / "a.json", i2_action, "m.json", "p.json", gens=(i2_swap,)
     )
-    loaded, gens = fileio.load_action(tmp_path / "a.json")
+    _, gens, loaded = fileio.load_input(tmp_path / "a.json")
     assert gens == (i2_swap,)
     assert np.array_equal(loaded.act, i2_action.act)
     assert loaded.monoid.order == i2.order
@@ -184,7 +183,7 @@ def test_bad_act_entry_is_a_parse_error(tmp_path, i2, i2_action, value):
     data["act"][3][4] = value
     (tmp_path / "a.json").write_text(json.dumps(data))
     with pytest.raises(ParseError, match=r"act\[3\]\[4\]") as err:
-        fileio.load_action(tmp_path / "a.json")
+        fileio.load_input(tmp_path / "a.json")
     assert err.value.field == "act" and "a.json" in str(err.value)
 
 
@@ -224,5 +223,5 @@ def test_bad_action_gens_are_a_parse_error(tmp_path, i2, i2_action, gens):
     data["gens"] = gens
     (tmp_path / "a.json").write_text(json.dumps(data))
     with pytest.raises(ParseError) as err:
-        fileio.load_action(tmp_path / "a.json")
+        fileio.load_input(tmp_path / "a.json")
     assert err.value.field == "gens" and "a.json" in str(err.value)
