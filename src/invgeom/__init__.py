@@ -16,8 +16,6 @@ from .action import (
 )
 from .cayley import (
     CayleyMetricTable,
-    LabeledDigraph,
-    cayley_graph,
     cayley_metric,
     symmetrize,
     word_distances,

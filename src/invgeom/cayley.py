@@ -1,9 +1,11 @@
 """Cayley graphs, Schützenberger components, and word metrics.
 
-Edges are oriented (s, g s, g).  Within an L-class, edges come in inverse
-pairs, so breadth-first search over a symmetric generating set computes
-the path metric of each Schützenberger graph; across L-classes the metric
-is infinite, and its finite components are checked to be the L-classes.
+A Cayley graph is the successor array of left multiplication,
+``word_successors``: column j holds the oriented edges (s, g s) of the
+j-th letter g.  Within an L-class, edges come in inverse pairs, so
+breadth-first search over a symmetric generating set computes the path
+metric of each Schützenberger graph; across L-classes the metric is
+infinite, and its finite components are checked to be the L-classes.
 """
 
 from dataclasses import dataclass
@@ -13,21 +15,6 @@ import numpy as np
 from .errors import PreconditionError, ValidationError
 from .extmetric import ExtendedMetric, all_pairs_bfs, bfs
 from .monoid import mulclose
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledDigraph:
-    num_vertices: int
-    edges: tuple  # (source, target, label) triples, no duplicates
-
-    def __post_init__(self):
-        seen = set()
-        for s, t, g in self.edges:
-            if not (0 <= s < self.num_vertices and 0 <= t < self.num_vertices):
-                raise ValidationError(f"edge ({s},{t},{g}) out of range")
-            if (s, t, g) in seen:
-                raise ValidationError(f"duplicate edge ({s},{t},{g})")
-            seen.add((s, t, g))
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,15 +49,6 @@ def symmetric_quasi_generators(monoid, gens):
             witness=(witness,),
         )
     return sym
-
-
-def cayley_graph(monoid, gens):
-    """Oriented edge (s, t, g) for every g in gens and s with g s = t."""
-    edges = []
-    for g in sorted(set(int(x) for x in gens)):
-        row = monoid.product[g, :]
-        edges.extend((s, int(row[s]), g) for s in range(monoid.order))
-    return LabeledDigraph(monoid.order, tuple(edges))
 
 
 def word_successors(monoid, letters, within_class=False):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import families, fileio
 from .action import cayley_self_action
-from .cayley import cayley_graph, cayley_metric
+from .cayley import cayley_metric, word_successors
 from .errors import InvgeomError, ParseError
 from .geometry import orbit_map_qi, qi_constants, rips_graph
 from .monoid import natural_leq_matrix
@@ -115,25 +115,37 @@ def cmd_analyze(args):
 
 def cmd_graph(args):
     monoid, gens, action = _load_setup(args)
-    labels = tuple(monoid.element_label(s) for s in range(monoid.order))
+    vertices = range(monoid.order)
     if args.kind == "cayley":
-        graph = cayley_graph(monoid, gens)
-        text = fileio.dot_labeled_digraph(
-            graph, vertex_labels=labels, edge_label=monoid.element_label
+        name, letters = "cayley", sorted(set(gens))
+        succ = word_successors(monoid, letters).tolist()
+        edges = sorted(
+            (s, t, g) for s, row in enumerate(succ) for t, g in zip(row, letters)
         )
     elif args.kind == "schutzenberger":
+        anchor = monoid.identity if args.component is None else args.component
+        if not 0 <= anchor < monoid.order:
+            raise ParseError(
+                f"--component {anchor} out of range: the monoid has "
+                f"{monoid.order} elements"
+            )
         p = cayley_presheaf(monoid, gens)
-        anchor = args.component if args.component is not None else monoid.identity
-        text = fileio.dot_fiber(
-            p,
-            int(p.proj[anchor]),
-            vertex_labels=labels,
-            edge_label=monoid.element_label,
-        )
+        e = int(p.proj[anchor])
+        name, vertices = f"fiber_{e}", p.fiber(e)
+        edges = sorted(edge for edge in p.edges if p.proj[edge[0]] == e)
     else:
         act = _self_action(monoid, gens, action)
         rips = rips_graph(act, _basepoint(args, act), _radius(args))
-        text = fileio.dot_rips(rips, vertex_labels=labels)
+        name = f"rips_{rips.radius.numerator}_{rips.radius.denominator}"
+        succ = rips.successors.tolist()
+        edges = [(s, t, None) for s, row in enumerate(succ) for t in row if s < t]
+    label = monoid.element_label
+    text = fileio.dot_graph(
+        name,
+        [(v, label(v)) for v in vertices],
+        [(u, v, None if g is None else label(g)) for u, v, g in edges],
+        directed=args.kind != "rips",
+    )
     Path(args.out).write_text(text)
     print(f"wrote {args.kind} graph to {args.out}")
     return 0
@@ -299,7 +311,12 @@ def build_parser():
 
     p = sub.add_parser("examples", help="list or emit bundled examples")
     p.add_argument("action", choices=("list", "emit"))
-    p.add_argument("name", nargs="?", default=None)
+    p.add_argument(
+        "name",
+        nargs="?",
+        default=None,
+        choices=[spec.name for spec in families.list_examples()],
+    )
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_examples)
 

@@ -1,11 +1,12 @@
 """Unit-edge path metrics: one breadth-first kernel and the distance tables it fills.
 
-Every metric in this package is the path metric of a graph with unit
-edges, given as a successor array ``succ[u, j]``: for word metrics a
-gathered block of product-table rows, for fiber and Rips graphs an
-adjacency list padded with each vertex itself.  ``bfs`` searches such an
-array from many sources at once and returns integer levels, with
-UNREACHED for vertices a source does not reach.
+Every graph in this package is a successor array ``succ[u, j]``, and
+every metric the path metric of one with unit edges: for word metrics a
+gathered block of product-table rows, for fiber and Rips graphs each
+vertex's sorted neighbours padded with the vertex itself
+(``successor_array``).  ``bfs`` searches such an array from many sources
+at once and returns integer levels, with UNREACHED for vertices a
+source does not reach.
 
 A symmetric metric is stored in a float64 table where ``math.inf`` marks
 pairs in different components.  Finite values are integers, which
@@ -52,7 +53,7 @@ class ExtendedMetric:
         for x in range(m):
             if seen[x]:
                 continue
-            cls = np.flatnonzero(self.finite_mask[x])
+            cls = np.flatnonzero(np.isfinite(self.table[x]))
             seen[cls] = True
             comps.append(tuple(int(i) for i in cls))
         return tuple(comps)
@@ -124,13 +125,18 @@ def trace_back(parent, column, row, target):
     return vertices[::-1], columns[::-1]
 
 
-def pad_adjacency(adjacency):
-    """Successor array of an adjacency list, each row padded with its vertex."""
-    n = len(adjacency)
-    width = max(map(len, adjacency), default=0)
-    succ = np.repeat(np.arange(n)[:, None], width, axis=1)
-    for u, nbrs in enumerate(adjacency):
-        succ[u, : len(nbrs)] = nbrs
+def successor_array(n, u, v):
+    """Successor array of n vertices from edges u -> v, sorted by u, then v.
+
+    Row u lists u's successors in increasing order, padded with u itself
+    to the largest out-degree.  ``bfs`` breaks ties by column, so the
+    order fixes its parent pointers.
+    """
+    u = np.asarray(u, dtype=np.intp)
+    degree = np.bincount(u, minlength=n)
+    succ = np.repeat(np.arange(n)[:, None], degree.max(initial=0), axis=1)
+    first = np.cumsum(degree) - degree
+    succ[u, np.arange(u.size) - first[u]] = v
     return succ
 
 

@@ -340,38 +340,17 @@ def _dot_quote(text):
     return '"' + str(text).replace('"', '\\"') + '"'
 
 
-def dot_labeled_digraph(graph, vertex_labels=None, edge_label=str, name="cayley"):
-    lines = [f"digraph {name} {{"]
-    for v in range(graph.num_vertices):
-        label = vertex_labels[v] if vertex_labels else str(v)
-        lines.append(f"  {v} [label={_dot_quote(label)}];")
-    for s, t, g in sorted(graph.edges):
-        lines.append(f"  {s} -> {t} [label={_dot_quote(edge_label(g))}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def dot_graph(name, nodes, edges, directed=True):
+    """DOT text of a graph, with nodes and edges in the order given.
 
-
-def dot_fiber(presheaf, e, vertex_labels=None, edge_label=str):
-    """One fiber graph as DOT, with edge labels."""
-    lines = [f"digraph fiber_{e} {{"]
-    for v in presheaf.fiber(e):
-        label = vertex_labels[v] if vertex_labels else str(v)
-        lines.append(f"  {v} [label={_dot_quote(label)}];")
-    for u, v, label in sorted(
-        (u, v, g) for u, v, g in presheaf.edges if presheaf.proj[u] == e
-    ):
-        text = "" if label is None else edge_label(label)
-        lines.append(f"  {u} -> {v} [label={_dot_quote(text)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def dot_rips(rips, vertex_labels=None):
-    lines = [f"graph rips_{rips.radius.numerator}_{rips.radius.denominator} {{"]
-    for v in range(rips.order):
-        label = vertex_labels[v] if vertex_labels else str(v)
-        lines.append(f"  {v} [label={_dot_quote(label)}];")
-    for s, t in sorted(rips.edges()):
-        lines.append(f"  {s} -- {t};")
+    ``nodes`` are (vertex, label) pairs and ``edges`` (u, v, label)
+    triples; an edge label of None writes no label attribute.
+    """
+    kind, arrow = ("digraph", "->") if directed else ("graph", "--")
+    lines = [f"{kind} {name} {{"]
+    lines += [f"  {v} [label={_dot_quote(label)}];" for v, label in nodes]
+    for u, v, label in edges:
+        attr = "" if label is None else f" [label={_dot_quote(label)}]"
+        lines.append(f"  {u} {arrow} {v}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ from .extmetric import (
     ExtendedMetric,
     all_pairs_bfs,
     bfs,
-    pad_adjacency,
+    successor_array,
     trace_back,
 )
 from .monoid import mulclose, natural_leq_matrix
@@ -91,18 +91,8 @@ class GeneratorExtraction:
 @dataclass(frozen=True, eq=False)
 class RipsGraph:
     radius: Fraction
-    adjacency: tuple        # per element, sorted neighbour tuple
+    successors: np.ndarray  # (n, width) sorted neighbours, padded with the element
     metric: ExtendedMetric
-
-    @property
-    def order(self):
-        return len(self.adjacency)
-
-    def edges(self):
-        for s, nbrs in enumerate(self.adjacency):
-            for t in nbrs:
-                if s < t:
-                    yield s, t
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,19 +254,11 @@ def orbit_map_qi(a, x1, word):
     ``word`` is the CayleyMetricTable of the action's monoid.
 
     Finite distances must correspond to shared fibers exactly (a failure
-    raises TheoremViolationError), and the order-preserving flag records
-    whether the natural partial order maps into the presheaf order.
+    raises qi_constants' PreconditionError), and the order-preserving flag
+    records whether the natural partial order maps into the presheaf order.
     """
     mon, p = a.monoid, a.presheaf
     orbit = np.asarray(a.act[x1, :], dtype=np.intp)
-    fin_w = np.isfinite(word.metric.table)
-    fin_x = np.isfinite(p.metric.table[np.ix_(orbit, orbit)])
-    if not np.array_equal(fin_w, fin_x):
-        s, t = np.argwhere(fin_w != fin_x)[0]
-        raise TheoremViolationError(
-            "finite word distance does not match finite orbit distance",
-            witness=(int(s), int(t)),
-        )
     base = qi_constants(orbit, word.metric, p.metric)
     leq = natural_leq_matrix(mon)
     ordered = True
@@ -357,14 +339,11 @@ def rips_graph(a, x1, radius):
         raise PreconditionError(f"radius must be non-negative, got {radius}")
     cutoff = math.floor(radius)
     orbit = np.asarray(a.act[x1, :], dtype=np.intp)
-    n = a.monoid.order
     close = a.presheaf.metric.table[np.ix_(orbit, orbit)] <= cutoff
     np.fill_diagonal(close, False)
-    adjacency = tuple(
-        tuple(int(t) for t in np.flatnonzero(close[s])) for s in range(n)
-    )
-    metric = all_pairs_bfs(pad_adjacency(adjacency))
-    return RipsGraph(radius=radius, adjacency=adjacency, metric=metric)
+    successors = successor_array(orbit.size, *np.nonzero(close))
+    metric = all_pairs_bfs(successors)
+    return RipsGraph(radius=radius, successors=successors, metric=metric)
 
 
 def rips_embedding_bounds(a, x1, rips):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .cayley import symmetric_quasi_generators, word_successors
 from .errors import ValidationError
-from .extmetric import ExtendedMetric, all_pairs_bfs, pad_adjacency
+from .extmetric import ExtendedMetric, all_pairs_bfs, successor_array
 from .report import Violation
 
 
@@ -119,11 +119,11 @@ class MetricPresheaf:
                 continue
             seen.add((u, v, label))
             cleaned.append((int(u), int(v), label))
-        nbr = [set() for _ in range(m)]
-        for u, v, _ in cleaned:
-            nbr[u].add(v)
-            nbr[v].add(u)
-        successors = pad_adjacency([sorted(s) for s in nbr])
+        u, v = (np.array([e[i] for e in cleaned], dtype=np.intp) for i in (0, 1))
+        # both orientations as sorted, distinct keys u * m + v
+        key = np.sort(np.concatenate([u * m + v, v * m + u]))
+        key = key[np.diff(key, prepend=-1) != 0]
+        successors = successor_array(m, *np.divmod(key, m))
         metric = all_pairs_bfs(successors)
         for e in range(k):
             pts = np.flatnonzero(proj == e)

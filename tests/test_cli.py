@@ -332,3 +332,23 @@ def test_presheaf_labels_must_be_the_idempotents(i2_files, tmp_path, capsys, cha
     assert main(["verify", "--input", str(tmp_path / "i2.action.json")]) == 2
     err = capsys.readouterr().err
     assert "i2.presheaf.json: labels" in err and "idempotents" in err
+
+
+@pytest.mark.parametrize("component", ["999", "-1"])
+def test_graph_rejects_out_of_range_component(i2_files, tmp_path, capsys, component):
+    args = ["graph", "--input", str(i2_files / "i2.action.json"), "--kind"]
+    args += ["schutzenberger", "--component", component, "--out", str(tmp_path / "g.dot")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"--component {component}" in err
+    assert not (tmp_path / "g.dot").exists()
+
+
+def test_examples_emit_rejects_unknown_name(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["examples", "emit", "nosuch", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "nosuch" in err
+    assert all(spec.name in err for spec in invgeom.list_examples())
+    assert not any(tmp_path.iterdir())

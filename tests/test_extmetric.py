@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from invgeom import (
     INFINITE,
+    ExtendedMetric,
     all_pairs_bfs,
+    cayley_metric,
     symmetrize,
 )
 from invgeom.cayley import word_successors
@@ -13,24 +16,51 @@ from invgeom.extmetric import (
     UNREACHED,
     bfs,
     metric_from_int_table,
-    pad_adjacency,
+    successor_array,
     trace_back,
 )
 
 
 def test_path_graph_distances():
-    m = all_pairs_bfs(pad_adjacency([(1,), (0, 2), (1,)]))
+    m = all_pairs_bfs(successor_array(3, [0, 1, 1, 2], [1, 0, 2, 1]))
     assert m.dist(0, 2) == 2
     assert m.dist(0, 0) == 0
     assert np.array_equal(m.table, m.table.T)
 
 
 def test_disconnected_components():
-    m = all_pairs_bfs(pad_adjacency([(1,), (0,), ()]))
+    m = all_pairs_bfs(successor_array(3, [0, 1], [1, 0]))
     assert m.dist(0, 2) == INFINITE
     assert math.isinf(m.table[0, 2])
     assert m.components() == ((0, 1), (2,))
     assert m.max_finite() == 1
+
+
+def test_successor_array_pads_each_row_with_its_vertex():
+    succ = successor_array(4, [0, 0, 2], [1, 3, 0])
+    assert succ.tolist() == [[1, 3], [1, 1], [0, 2], [3, 3]]
+    assert successor_array(2, [], []).shape == (2, 0)
+    # against a padded neighbour list, built one row at a time
+    close = np.random.default_rng(0).random((30, 30)) < 0.2
+    rows = [np.flatnonzero(row).tolist() for row in close]
+    width = max(map(len, rows))
+    padded = [row + [u] * (width - len(row)) for u, row in enumerate(rows)]
+    assert successor_array(30, *np.nonzero(close)).tolist() == padded
+
+
+def test_components_reads_no_full_finite_mask(i3, i3_transpositions):
+    metric = cayley_metric(i3, i3_transpositions).metric
+    mask = ExtendedMetric.finite_mask
+    reads = []
+
+    def counted(self):
+        reads.append(self)
+        return mask.fget(self)
+
+    with mock.patch.object(ExtendedMetric, "finite_mask", property(counted)):
+        comps = metric.components()
+    assert len(reads) <= 1
+    assert {frozenset(c) for c in comps} == {frozenset(c) for c in i3.lclasses}
 
 
 def test_int_table_wrapper():

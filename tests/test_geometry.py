@@ -6,6 +6,7 @@ import pytest
 
 from invgeom import (
     INFINITE,
+    EtaleAction,
     ExtendedMetric,
     PreconditionError,
     RipsGraph,
@@ -117,6 +118,23 @@ def test_orbit_map_qi_half_rotation():
     assert report.order_preserving is True
 
 
+def test_orbit_map_qi_rejects_a_map_that_breaks_finiteness(i3, i3_transpositions, i3_action):
+    word = cayley_metric(i3, i3_transpositions)
+    x1 = i3.identity
+    p = i3_action.presheaf
+    act = np.array(i3_action.act)
+    s = next(s for s in range(i3.order) if not i3.is_idempotent(s))
+    # x1.s moves to another fiber, away from x1.dom(s) in s's L-class
+    act[x1, s] = next(y for y in range(p.num_points) if p.proj[y] != p.proj[act[x1, s]])
+    bent = EtaleAction(monoid=i3, presheaf=p, act=act)
+    fin_w = np.isfinite(word.metric.table)
+    fin_x = np.isfinite(p.metric.table[np.ix_(act[x1], act[x1])])
+    expected = tuple(int(i) for i in np.argwhere(fin_w != fin_x)[0])
+    with pytest.raises(PreconditionError, match="does not preserve finiteness") as exc:
+        orbit_map_qi(bent, x1, word)
+    assert exc.value.witness == expected
+
+
 def test_orbit_order_preservation_explicitly(i2, i2_swap, i2_action):
     p = i2_action.presheaf
     e0 = elt(i2, 0, None)
@@ -137,7 +155,7 @@ def test_orbit_inequalities_empty(i2, i2_swap, i3, i3_transpositions, i2_action,
 def test_rips_radius_zero(i2, i2_swap, i2_action):
     rips = rips_graph(i2_action, i2.identity, 0)
     # the orbit map is injective here, so no two elements are adjacent
-    assert all(len(nbrs) == 0 for nbrs in rips.adjacency)
+    assert (rips.successors == np.arange(i2.order)[:, None]).all()
     assert rips.metric.dist(0, 0) == 0
 
 
@@ -161,7 +179,7 @@ def test_rips_radius_zero_with_collapsed_orbit():
     assert coboundedness_constant(act, 0) == 0
     rips = rips_graph(act, 0, 0)
     # both elements hit the same orbit point, so they are adjacent at R = 0
-    assert rips.adjacency == ((1,), (0,))
+    assert rips.successors.tolist() == [[1], [0]]
     assert rips.metric.dist(0, 1) == 1
 
 
@@ -194,7 +212,7 @@ def test_rips_fractional_radius_exact(i2, i2_swap, i2_action):
     # radius 3/2 admits exactly the pairs at orbit distance <= 1
     r1 = rips_graph(i2_action, i2.identity, 1)
     r32 = rips_graph(i2_action, i2.identity, Fraction(3, 2))
-    assert r1.adjacency == r32.adjacency
+    assert np.array_equal(r1.successors, r32.successors)
 
 
 def test_metric_predicates_word_metric(i3, i3_transpositions):
@@ -335,7 +353,7 @@ def test_rips_embedding_bounds_match_the_fraction_oracle(i3, i3_action, radius):
         if tamper is not None:
             s, t, value = tamper
             metric[s, t] = value
-        bent = RipsGraph(radius=rips.radius, adjacency=rips.adjacency,
+        bent = RipsGraph(radius=rips.radius, successors=rips.successors,
                          metric=ExtendedMetric(metric))
         found = rips_embedding_bounds(i3_action, x1, bent)
         assert found == _rips_bounds_oracle(i3_action, x1, bent), tamper

@@ -6,13 +6,13 @@ import pytest
 from invgeom import (
     ParseError,
     PartialBijection,
-    cayley_graph,
     cayley_metric,
     cayley_presheaf,
     cayley_self_action,
     rips_graph,
 )
 from invgeom import fileio
+from invgeom.cayley import word_successors
 
 
 def test_generator_file_round_trip(tmp_path):
@@ -118,14 +118,24 @@ def test_parse_errors(tmp_path):
 
 
 def test_dot_exports(i2, i2_swap, i2_action):
-    g = cayley_graph(i2, [i2_swap])
-    dot = fileio.dot_labeled_digraph(g, edge_label=i2.element_label)
+    label = i2.element_label
+    nodes = [(s, label(s)) for s in range(i2.order)]
+    succ = word_successors(i2, [i2_swap]).tolist()
+    edges = [(s, t, label(i2_swap)) for s, (t,) in enumerate(succ)]
+    dot = fileio.dot_graph("cayley", nodes, edges)
     assert dot.startswith("digraph") and "->" in dot
     p = i2_action.presheaf
-    fiber_dot = fileio.dot_fiber(p, 0, edge_label=i2.element_label)
+    fiber = [(u, v, label(g)) for u, v, g in p.edges if p.proj[u] == 0]
+    fiber_dot = fileio.dot_graph("fiber_0", [(v, v) for v in p.fiber(0)], fiber)
     assert "digraph fiber_0" in fiber_dot
     rips = rips_graph(i2_action, i2.identity, 1)
-    rips_dot = fileio.dot_rips(rips)
+    pairs = [
+        (s, t, None)
+        for s, row in enumerate(rips.successors.tolist())
+        for t in row
+        if s < t
+    ]
+    rips_dot = fileio.dot_graph("rips_1_1", nodes, pairs, directed=False)
     assert rips_dot.startswith("graph") and "--" in rips_dot
 
 
