@@ -74,8 +74,7 @@ def bfs(succ, sources, limit=None, parents=False):
     as padding.  Row i of the result holds the number of steps from
     ``sources[i]`` to every vertex, or UNREACHED where that source does
     not reach within ``limit`` steps.  All sources advance together, one
-    level at a time and one successor column at a time, with the level
-    table itself as the visited set.
+    level at a time, with the level table itself as the visited set.
 
     With ``parents`` the result is ``(level, parent, column)``: each
     reached vertex's predecessor on a shortest path and the successor
@@ -100,29 +99,60 @@ def bfs(succ, sources, limit=None, parents=False):
     while frontier.size and (limit is None or depth < limit):
         depth += 1
         u = frontier % n
-        found = []
+        # a column's fresh keys are marked at once, so no later column
+        # finds them again; within a column they come in frontier order
+        keys, picks = [frontier[:0]], [frontier[:0]]
         for j, col in enumerate(succ.T):
             key = frontier + (col[u] - u)
-            fresh = flat[key] == UNREACHED
-            key, first = np.unique(key[fresh], return_index=True)
+            fresh = np.flatnonzero(flat[key] == UNREACHED)
+            key = key[fresh]
             flat[key] = depth
+            keys.append(key)
             if parents:
-                parent[key] = u[fresh][first]
-                column[key] = j
-            found.append(key)
-        frontier = np.sort(np.concatenate(found)) if found else frontier[:0]
+                picks.append(fresh + j * u.size)
+        key = np.concatenate(keys)
+        if parents:
+            # stably sorted, a key's first candidate has its least column,
+            # then its least predecessor, as frontier keys are sorted
+            order = np.argsort(key, kind="stable")
+            key, pick = key[order], np.concatenate(picks)[order]
+        else:
+            key.sort()
+        first = np.diff(key, prepend=-1) != 0
+        frontier = key[first]
+        if parents:
+            parent[frontier] = u[pick[first] % u.size]
+            column[frontier] = pick[first] // u.size
     if parents:
         return level, parent.reshape(level.shape), column.reshape(level.shape)
     return level
 
 
-def trace_back(parent, column, row, target):
-    """Vertices and columns of the recorded path from row's source to target."""
-    vertices, columns = [int(target)], []
-    while parent[row, vertices[-1]] >= 0:
-        columns.append(int(column[row, vertices[-1]]))
-        vertices.append(int(parent[row, vertices[-1]]))
-    return vertices[::-1], columns[::-1]
+def trace_paths(level, parent, column, rows, targets):
+    """Recorded paths from the sources of ``rows`` to ``targets``, walked together.
+
+    ``level``, ``parent`` and ``column`` are the tables of ``bfs``.
+    Returns ``(vertices, columns, steps)``: path i has steps[i] edges, row
+    i of ``vertices`` lists its vertices from the source on, and row i of
+    ``columns`` the successor column of each edge.  Past its end a path's
+    vertices repeat its target and its columns read -1.  A target that its
+    source does not reach gives a path of no steps.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    at = np.array(targets, dtype=np.intp)
+    steps = np.maximum(level[rows, at], 0)
+    width = int(steps.max(initial=0))
+    vertices = np.repeat(at.astype(level.dtype)[:, None], width + 1, axis=1)
+    columns = np.full((at.size, width), -1, dtype=level.dtype)
+    for k in range(width):
+        # paths longer than k take their k-th step back, along the edge
+        # numbered steps - k - 1 into vertex steps - k
+        live = np.flatnonzero(steps > k)
+        edge = steps[live] - k - 1
+        columns[live, edge] = column[rows[live], at[live]]
+        at[live] = parent[rows[live], at[live]]
+        vertices[live, edge] = at[live]
+    return vertices, columns, steps
 
 
 def successor_array(n, u, v):

@@ -196,7 +196,11 @@ def save_presheaf(path, presheaf):
         },
         "proj": [int(v) for v in presheaf.proj],
         "restrict": [[int(v) for v in row] for row in presheaf.restrict],
-        "fibers": [sorted(edges) for edges in fibers],
+        # a null label sorts before an int one on the same (u, v)
+        "fibers": [
+            sorted(edges, key=lambda e: (e[0], e[1], e[2] is not None, e[2] or 0))
+            for edges in fibers
+        ],
     }
     _write(path, dumps_canonical(data))
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .action import coboundedness_constant
 from .cayley import word_successors
 from .errors import PreconditionError, TheoremViolationError
 from .extmetric import (
@@ -23,7 +22,7 @@ from .extmetric import (
     all_pairs_bfs,
     bfs,
     successor_array,
-    trace_back,
+    trace_paths,
 )
 from .monoid import mulclose, natural_leq_matrix
 from .report import CheckResult, Violation
@@ -127,83 +126,89 @@ class QuasiGenerationCertificate:
 def extract_generators(a, x1, t):
     """Generators within orbit displacement 2T+1, with factorizations.
 
-    Requires a T-cobounded validated action and a basepoint in the
-    identity fiber.  For every element, a fiber path from x1.dom(s) to
+    Requires a T-cobounded validated action, B(x1, T).S = X, and a
+    basepoint in the identity fiber; either failing raises
+    PreconditionError.  For every element, a fiber path from x1.dom(s) to
     x1.s is chopped into unit steps, each step point gets the minimal
     orbit representative within distance T, and the telescoping factors
-    land in the generating set.  The closure of the result must be the
-    whole monoid; anything else raises TheoremViolationError.
+    land in the generating set.  All elements are handled together, one
+    path step at a time.  The closure of the result must be the whole
+    monoid; anything else raises TheoremViolationError, for the least
+    element that breaks a step.
     """
     mon, p, act = a.monoid, a.presheaf, a.act
-    cb = coboundedness_constant(a, x1)
-    if cb is None or cb > t:
+    if int(p.proj[x1]) != a.identity_base:
         raise PreconditionError(
-            f"action is not {t}-cobounded from basepoint {x1} (constant: {cb})"
+            f"basepoint {x1} is not in the identity fiber", witness=(x1,)
+        )
+    table = p.metric.table
+    covered = np.zeros(p.num_points, dtype=bool)
+    covered[act[table[x1] <= t]] = True
+    if not covered.all():
+        raise PreconditionError(
+            f"action is not {t}-cobounded from basepoint {x1}",
+            witness=(int(np.argmin(covered)),),
         )
     threshold = 2 * t + 1
-    table = p.metric.table
     orbit = act[x1, :]
     dom = mon.dom_table
     displacement = table[orbit, orbit[dom]]
-    gens = tuple(int(s) for s in np.flatnonzero(displacement <= threshold))
-    gen_set = frozenset(gens)
+    gens = np.flatnonzero(displacement <= threshold)
     starts = np.flatnonzero(np.bincount(orbit[dom]))
+    rows = np.searchsorted(starts, orbit[dom])
     level, parent, column = bfs(p.successors, starts, parents=True)
-    certs = []
-    for s in range(mon.order):
-        row = int(np.searchsorted(starts, orbit[dom[s]]))
-        end = int(orbit[s])
-        if level[row, end] == UNREACHED:
-            raise TheoremViolationError(
-                f"orbit points of {s} and dom({s}) lie in different fibers"
-            )
-        path = trace_back(parent, column, row, end)[0]
-        if len(path) > displacement[s] + 2:
-            raise TheoremViolationError(
-                f"fiber path for {s} longer than distance + 2"
-            )
-        reps = []
-        for i, pt in enumerate(path):
-            if i == len(path) - 1:
-                reps.append(int(s))
-                continue
-            close = np.flatnonzero(table[pt, orbit] <= t)
-            if close.size == 0:
-                raise TheoremViolationError(
-                    f"no orbit representative within {t} of point {pt}"
-                )
-            reps.append(int(close[0]))
-        factors = [reps[0]]
-        for i in range(1, len(reps)):
-            factors.append(mon.mul(reps[i], mon.inv(reps[i - 1])))
-        acc = factors[0]
-        for u in factors[1:]:
-            acc = mon.mul(u, acc)
-        if acc != s:
-            raise TheoremViolationError(
-                f"factor product for {s} gives {acc}", witness=(s, tuple(factors))
-            )
-        stray = [u for u in factors if u not in gen_set]
-        if stray:
-            raise TheoremViolationError(
-                f"factor {stray[0]} of {s} fell outside the generating set",
-                witness=(s, stray[0]),
-            )
-        certs.append(
-            GenerationCertificate(
-                element=s,
-                path_points=tuple(path),
-                representatives=tuple(reps),
-                factors=tuple(factors),
-            )
+    path, _, steps = trace_paths(level, parent, column, rows, orbit)
+    elems = np.arange(mon.order)
+    on_path = np.arange(path.shape[1]) <= steps[:, None]
+    # each point's least orbit representative within T; s itself ends its path
+    close = (table <= t)[:, orbit]
+    nearest = close.argmax(axis=1).astype(mon.product.dtype)
+    reps = nearest[path]
+    reps[elems, steps] = elems
+    unrepresented = on_path & ~close[path, reps]
+    factors = reps.copy()
+    factors[:, 1:] = mon.product[reps[:, 1:], mon.inverse[reps[:, :-1]]]
+    acc = factors[:, 0]
+    for k in range(1, path.shape[1]):
+        acc = np.where(k <= steps, mon.product[factors[:, k], acc], acc)
+    stray = on_path & (displacement[factors] > threshold)
+    failures = (
+        level[rows, orbit] == UNREACHED,
+        steps + 1 > displacement + 2,
+        unrepresented.any(axis=1),
+        acc != elems,
+        stray.any(axis=1),
+    )
+    broken = np.flatnonzero(np.logical_or.reduce(failures))
+    if broken.size:
+        s = int(broken[0])
+        row = factors[s, : steps[s] + 1].tolist()
+        pt, u = path[s, np.argmax(unrepresented[s])], row[np.argmax(stray[s])]
+        reasons = (
+            (f"orbit points of {s} and dom({s}) lie in different fibers", None),
+            (f"fiber path for {s} longer than distance + 2", None),
+            (f"no orbit representative within {t} of point {pt}", None),
+            (f"factor product for {s} gives {acc[s]}", (s, tuple(row))),
+            (f"factor {u} of {s} fell outside the generating set", (s, u)),
         )
-    if mulclose(mon.product, gen_set) != frozenset(range(mon.order)):
+        message, witness = next(r for r, f in zip(reasons, failures) if f[s])
+        raise TheoremViolationError(message, witness=witness)
+    if mulclose(mon.product, gens) != frozenset(range(mon.order)):
         raise TheoremViolationError("extracted set does not generate")
+    certs = tuple(
+        GenerationCertificate(
+            element=s,
+            path_points=tuple(path[s, : k + 1].tolist()),
+            representatives=tuple(reps[s, : k + 1].tolist()),
+            factors=tuple(factors[s, : k + 1].tolist()),
+        )
+        for s, k in enumerate(steps.tolist())
+    )
     return GeneratorExtraction(
-        generators=gens,
-        certificates=tuple(certs),
+        generators=tuple(gens.tolist()),
+        certificates=certs,
         basepoint=int(x1),
-        cobound=int(cb),
+        cobound=int(t),
         threshold=threshold,
     )
 
@@ -227,22 +232,28 @@ def qi_constants(mapped, da, db):
             "map does not preserve finiteness of distances",
             witness=(int(x), int(y)),
         )
-    av = a[fin_a]
-    bv = b[fin_a]
-    best = None
-    for lad in QI_LADDER:
-        p, q = lad.numerator, lad.denominator
-        over = np.max(q * bv - p * av) if av.size else 0.0
-        under = np.max(q * av - p * bv) if av.size else 0.0
-        residual = max(Fraction(int(over), q), Fraction(int(under), p), Fraction(0))
-        if best is None or residual < best[1]:
-            best = (lad, residual)
+    av = a[fin_a].astype(np.int64)
+    bv = b[fin_a].astype(np.int64)
+    # the residuals depend only on which distance pairs (x, y) occur
+    width = int(bv.max(initial=0)) + 1
+    x, y = np.divmod(np.flatnonzero(np.bincount(av * width + bv)), width)
+    p = np.array([[lad.numerator] for lad in QI_LADDER])
+    q = np.array([[lad.denominator] for lad in QI_LADDER])
+    # C(L) = max(over / q, under / p, 0) over the common denominator p q
+    over = (q * y - p * x).max(axis=1, initial=0) * p[:, 0]
+    under = (q * x - p * y).max(axis=1, initial=0) * q[:, 0]
+    residual = [
+        Fraction(int(r), int(d))
+        for r, d in zip(np.maximum(over, under), p[:, 0] * q[:, 0])
+    ]
+    # min keeps the first of equal residuals, so ties go to the least L
+    best = min(range(len(QI_LADDER)), key=residual.__getitem__)
     reach = db.table[mapped, :]
     nearest = reach.min(axis=0)
     radius = INFINITE if np.any(np.isinf(nearest)) else int(nearest.max())
     return QiReport(
-        mult=best[0],
-        add=best[1],
+        mult=QI_LADDER[best],
+        add=residual[best],
         coarse_radius=radius,
         order_preserving=None,
     )
@@ -260,12 +271,9 @@ def orbit_map_qi(a, x1, word):
     mon, p = a.monoid, a.presheaf
     orbit = np.asarray(a.act[x1, :], dtype=np.intp)
     base = qi_constants(orbit, word.metric, p.metric)
-    leq = natural_leq_matrix(mon)
-    ordered = True
-    for s, t in np.argwhere(leq):
-        if not p.leq(int(orbit[s]), int(orbit[t])):
-            ordered = False
-            break
+    s, t = np.nonzero(natural_leq_matrix(mon))
+    # p.leq(x1.s, x1.t) for every pair s <= t at once
+    ordered = bool(np.all(p.restrict[orbit[t], p.proj[orbit[s]]] == orbit[s]))
     return QiReport(
         mult=base.mult,
         add=base.add,
@@ -289,10 +297,20 @@ def orbit_inequalities(a, x1, word):
     dom = mon.dom_table
     disp = table[orbit, orbit[dom]]
     length = word.metric.table[np.arange(mon.order), dom]
-    words = _shortest_words(mon, word.generators, within_class=True)
+    steps, words = _shortest_words(mon, word.generators, within_class=True)
+    reached = steps != UNREACHED
+    odd = np.flatnonzero(reached & (steps != length))
+    if odd.size:
+        raise TheoremViolationError(
+            "recovered word length disagrees with the metric",
+            witness=(int(odd[0]),),
+        )
+    worst = np.where(words >= 0, disp[words], 0.0).max(axis=1, initial=0.0)
+    too_long = length > disp + 2
+    too_far = reached & (disp > steps * worst)
     out = []
-    for s in range(mon.order):
-        if length[s] > disp[s] + 2:
+    for s in np.flatnonzero(too_long | ~reached | too_far).tolist():
+        if too_long[s]:
             out.append(
                 Violation(
                     "word-vs-displacement",
@@ -300,23 +318,16 @@ def orbit_inequalities(a, x1, word):
                     f"word distance {length[s]} exceeds displacement {disp[s]} + 2",
                 )
             )
-        letters = words[s]
-        if letters is None:
+        if not reached[s]:
             out.append(
                 Violation("word-vs-displacement", (s,), "no word reaches s")
             )
-            continue
-        if len(letters) != length[s]:
-            raise TheoremViolationError(
-                "recovered word length disagrees with the metric", witness=(s,)
-            )
-        worst = max((float(disp[m]) for m in letters), default=0.0)
-        if disp[s] > len(letters) * worst:
+        elif too_far[s]:
             out.append(
                 Violation(
                     "displacement-vs-word",
                     (s,),
-                    f"displacement {disp[s]} exceeds {len(letters)} * {worst}",
+                    f"displacement {disp[s]} exceeds {steps[s]} * {worst[s]}",
                 )
             )
     return out
@@ -435,20 +446,22 @@ def validate_metric_predicates(monoid, metric, f1=None):
             fail = i
             break
         factors[i] = sols[0]
-    # with a failure, only the pairs before it have factors
-    factors, dist = factors[:fail], t[xs[:fail], ys[:fail]]
+    # with a failure, only the pairs before it have factors; each
+    # factor counts from the least distance of a pair it solves
+    least = np.full(n, np.inf)
+    np.minimum.at(least, factors[:fail], t[xs[:fail], ys[:fail]])
     if fail is not None:
         properness = CheckResult(
             "proper", False, witness=(int(xs[fail]), int(ys[fail]))
         )
     else:
-        sizes = {
-            r: len(set(factors[dist <= r].tolist()))
-            for r in range(metric.max_finite() + 1)
-        }
-        properness = CheckResult("proper", True, data={"factor_counts": sizes})
+        found = least[np.isfinite(least)].astype(np.intp)
+        counts = np.cumsum(np.bincount(found, minlength=metric.max_finite() + 1))
+        properness = CheckResult(
+            "proper", True, data={"factor_counts": dict(enumerate(counts.tolist()))}
+        )
     if f1 is None:
-        f1 = tuple(sorted(set(factors[dist <= 1].tolist())))
+        f1 = tuple(np.flatnonzero(least <= 1).tolist())
     else:
         f1 = tuple(sorted(set(int(f) for f in f1)))
     uniform_properness = _check_uniform_properness(monoid, metric, f1)
@@ -506,24 +519,27 @@ def quasi_generators_from_metric(monoid, metric, report):
             witness=report.uniform_properness.witness,
         )
     letters = report.uniform_properness.data["f1"]
-    t = metric.table
-    words = _shortest_words(monoid, letters, limit=metric.max_finite())
-    factorizations = {}
-    for s in range(monoid.order):
-        if monoid.is_idempotent(s):
-            continue
-        d = t[s, monoid.dom(s)]
-        if math.isinf(d):
+    steps, words = _shortest_words(monoid, letters, limit=metric.max_finite())
+    d = metric.table[np.arange(monoid.order), monoid.dom_table]
+    moving = ~monoid.idempotent_mask
+    far = moving & np.isinf(d)
+    unfactored = moving & ((steps == UNREACHED) | (steps > np.ceil(d)))
+    bad = np.flatnonzero(far | unfactored)
+    if bad.size:
+        s = int(bad[0])
+        if far[s]:
             raise PreconditionError(
                 f"element {s} is infinitely far from its dom", witness=(s,)
             )
-        word = words[s]
-        if word is None or len(word) > math.ceil(d):
-            raise TheoremViolationError(
-                f"no factorization of {s} within {math.ceil(d)} letters",
-                witness=(s,),
-            )
-        factorizations[s] = tuple(word)
+        raise TheoremViolationError(
+            f"no factorization of {s} within {math.ceil(d[s])} letters",
+            witness=(s,),
+        )
+    factorizations = {
+        s: tuple(word[:k])
+        for s, (word, k) in enumerate(zip(words.tolist(), steps.tolist()))
+        if moving[s]
+    }
     closure = mulclose(
         monoid.product, set(letters) | set(monoid.idempotents)
     )
@@ -540,9 +556,11 @@ def quasi_generators_from_metric(monoid, metric, report):
 def _shortest_words(monoid, letters, within_class=False, limit=None):
     """A shortest word over letters from dom(s) to s, for every element s.
 
-    Words list their letters first-applied first; an element no word
-    reaches within ``limit`` letters gets None.  One search runs from all
-    idempotents at once.  ``within_class`` keeps every prefix in the
+    Returns ``(steps, words)``: steps[s] is the number of letters of s's
+    word, UNREACHED where no word reaches s within ``limit`` letters, and
+    row s of ``words`` lists them first-applied first, padded with -1.
+    One search runs from all idempotents at once, and every word is read
+    off its parents together.  ``within_class`` keeps every prefix in the
     L-class, so the words trace paths of the Schützenberger graphs.
     """
     idem = monoid.idempotents
@@ -550,9 +568,7 @@ def _shortest_words(monoid, letters, within_class=False, limit=None):
         word_successors(monoid, letters, within_class), idem, limit, parents=True
     )
     rows = np.searchsorted(idem, monoid.dom_table)
-    return [
-        None
-        if level[row, s] == UNREACHED
-        else [int(letters[j]) for j in trace_back(parent, column, row, s)[1]]
-        for s, row in enumerate(rows.tolist())
-    ]
+    elems = np.arange(monoid.order)
+    _, columns, _ = trace_paths(level, parent, column, rows, elems)
+    letters = np.asarray(letters, dtype=np.intp)
+    return level[rows, elems], np.where(columns >= 0, letters[columns], -1)

@@ -99,9 +99,15 @@ def natural_leq_matrix(monoid):
     n = monoid.order
     idem = np.array(monoid.idempotents, dtype=np.intp)
     leq = np.zeros((n, n), dtype=bool)
-    for t in range(n):
-        leq[monoid.product[idem, t], t] = True
+    leq[monoid.product[idem], np.arange(n)] = True
     return leq
+
+
+def row_blocks(n):
+    """Index arrays of consecutive rows of an n-column table, about 2**14
+    entries a block, so that a row-wise sweep holds no N x N temporary."""
+    step = max(1, (1 << 14) // n)
+    return [np.arange(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def mulclose(product, seeds):
@@ -146,8 +152,10 @@ def _check_associativity(product):
     Semigroups I, 1.2): if g and h pass, so does g h, since
     (a (g h)) c = ((a g) h) c = (a g) (h c) = a (g (h c)) = a ((g h) c),
     and every element is a product ((g1 g2) g3) ... of the generating set.
+    Returns that set.
     """
-    for g in generating_set(product):
+    gens = generating_set(product)
+    for g in gens:
         left = product[product[:, g], :]   # (a g) c
         right = product[:, product[g, :]]  # a (g c)
         if not np.array_equal(left, right):
@@ -155,6 +163,7 @@ def _check_associativity(product):
             raise ValidationError(
                 f"not associative at ({a},{g},{c})", witness=(int(a), g, int(c))
             )
+    return gens
 
 
 def _check_identity(product, identity):
@@ -169,22 +178,27 @@ def _check_identity(product, identity):
 
 
 def _inverse_table(product):
-    """Unique inverse of each element; ValidationError if not exactly one."""
+    """Unique inverse of each element; ValidationError if not exactly one.
+
+    Candidates t of s satisfy s t s = s and t s t = t; a block of rows s
+    is solved at a time, and the least s without exactly one fails.
+    """
     n = product.shape[0]
     elems = np.arange(n)
     inverse = np.empty(n, dtype=product.dtype)
-    for s in range(n):
-        st = product[s, :]                 # s t
-        sts = product[st, s]               # (s t) s
-        ts = product[:, s]                 # t s
-        tst = product[ts, elems]           # (t s) t
-        sols = np.flatnonzero((sts == s) & (tst == elems))
-        if sols.size != 1:
+    for s in row_blocks(n):
+        st = product[s]          # s t
+        ts = product[:, s].T     # t s
+        sols = (product[st, s[:, None]] == s[:, None]) & (product[ts, elems] == elems)
+        count = np.count_nonzero(sols, axis=1)
+        bad = np.flatnonzero(count != 1)
+        if bad.size:
+            i = bad[0]
             raise ValidationError(
-                f"element {s} has {sols.size} inverse candidates",
-                witness=(s, tuple(int(t) for t in sols)),
+                f"element {s[i]} has {count[i]} inverse candidates",
+                witness=(int(s[i]), tuple(np.flatnonzero(sols[i]).tolist())),
             )
-        inverse[s] = sols[0]
+        inverse[s] = np.argmax(sols, axis=1)
     return inverse
 
 
@@ -238,8 +252,7 @@ def build_from_tables(product, identity, elements=None, labels=None, inverse=Non
     if not 0 <= identity < n:
         raise ValidationError(f"identity index {identity} out of range")
     _check_identity(product, identity)
-    if elements is None:
-        _check_associativity(product)
+    gens = None if elements is not None else _check_associativity(product)
     if inverse is None:
         inverse = _inverse_table(product)
     else:
@@ -249,7 +262,7 @@ def build_from_tables(product, identity, elements=None, labels=None, inverse=Non
     product.setflags(write=False)
     inverse.setflags(write=False)
     idem_mask.setflags(write=False)
-    return InverseMonoid(
+    monoid = InverseMonoid(
         product=product,
         inverse=inverse,
         identity=int(identity),
@@ -257,6 +270,10 @@ def build_from_tables(product, identity, elements=None, labels=None, inverse=Non
         elements=elements,
         labels=labels,
     )
+    if gens is not None:
+        # the set Light's test swept becomes the cached generating_set
+        monoid.__dict__["generating_set"] = gens
+    return monoid
 
 
 def from_table(product, identity):

@@ -31,6 +31,7 @@ from .geometry import (
     rips_graph,
     validate_metric_predicates,
 )
+from .monoid import row_blocks
 from .presheaf import validate_presheaf
 from .report import CheckResult
 
@@ -39,29 +40,26 @@ def check_edge_pairing(monoid):
     """Within an L-class, every labelled edge reverses under the inverse label.
 
     For every label x and every t: with s = x t, if dom(s) = dom(t) then
-    t = x^-1 s, and when x is idempotent additionally s = t.
+    t = x^-1 s, and when x is idempotent additionally s = t.  Labels are
+    swept a block of rows at a time; the witness is the least failing x,
+    and for it the least t, a failed reversal before a moved loop.
     """
-    dom = monoid.dom_table
+    product, dom = monoid.product, monoid.dom_table
     elems = np.arange(monoid.order)
     checked = 0
-    for x in range(monoid.order):
-        s_vec = monoid.product[x, :]
-        same = dom[s_vec] == dom
-        checked += int(same.sum())
-        back = monoid.product[monoid.inv(x), s_vec]
-        bad = np.flatnonzero(same & (back != elems))
+    for x in row_blocks(monoid.order):
+        s = product[x]
+        same = dom[s] == dom
+        back = same & (product[monoid.inverse[x][:, None], s] != elems)
+        loops = same & monoid.idempotent_mask[x][:, None] & (s != elems)
+        bad = np.flatnonzero((back | loops).any(axis=1))
         if bad.size:
-            t = int(bad[0])
+            i = bad[0]
+            t = int(np.argmax(back[i] if back[i].any() else loops[i]))
             return CheckResult(
-                "edge-pairing", False, witness=(x, t, int(s_vec[t]))
+                "edge-pairing", False, witness=(int(x[i]), t, int(s[i, t]))
             )
-        if monoid.is_idempotent(x):
-            loops = np.flatnonzero(same & (s_vec != elems))
-            if loops.size:
-                t = int(loops[0])
-                return CheckResult(
-                    "edge-pairing", False, witness=(x, t, int(s_vec[t]))
-                )
+        checked += int(np.count_nonzero(same))
     return CheckResult("edge-pairing", True, data={"edges_checked": checked})
 
 
@@ -173,8 +171,20 @@ class VerificationRun:
 
     @_shared
     def rips_report(self):
-        f1 = properness_witness(self.action, self.basepoint, self.radius)
+        f1 = self.cover(self.radius)
         return validate_metric_predicates(self.monoid, self.rips.metric, f1=f1)
+
+    def cover(self, radius):
+        """properness_witness at a radius, built once per floor(radius).
+
+        The cover depends on the radius only through its floor, so the
+        extraction threshold and an equal Rips radius share one.
+        """
+        covers = self.__dict__.setdefault("_covers", {})
+        key = math.floor(radius)
+        if key not in covers:
+            covers[key] = properness_witness(self.action, self.basepoint, key)
+        return covers[key]
 
 
 def _check_table(radius):
@@ -286,7 +296,7 @@ def _generator_extraction(run):
 
 def _properness_cover(run):
     extraction = run.extraction
-    cover = properness_witness(run.action, run.basepoint, extraction.threshold)
+    cover = run.cover(extraction.threshold)
     covered = coset_cover_holds(run.monoid, cover, extraction.generators)
     return _result(covered, cover_size=len(cover))
 

@@ -18,7 +18,7 @@ from invgeom import (
     validate_action,
 )
 from invgeom.action import _qualifying, coset_cover_holds
-from invgeom.families import cyclic_group_table
+from invgeom.families import build_example, cyclic_group_table
 from invgeom.report import Violation
 
 
@@ -278,6 +278,46 @@ def test_properness_witness_radius_zero_free_orbit():
     z3 = from_table(cyclic_group_table(3), 0)
     act = cayley_self_action(z3, [1, 2])
     assert properness_witness(act, 0, 0) == (0,)
+
+
+# properness_witness from the identity at radii 0, 1, 2 and 3, on the
+# bundled examples' self-actions
+COVERS = {
+    "trivial": ((0,), (0,), (0,), (0,)),
+    "i1": ((0,), (0,), (0,), (0,)),
+    "i2": ((0,), (0, 2), (0, 2), (0, 2)),
+    "i3": ((0,), (0, 2, 7, 16), (0, 2, 7, 9, 14, 16), (0, 2, 7, 9, 14, 16)),
+    "i4": (
+        (0,),
+        (0, 2, 7, 16, 34, 75, 111),
+        (0, 2, 7, 9, 14, 16, 34, 36, 41, 50, 68, 75, 77, 82, 104, 109, 111, 118),
+        (0, 2, 7, 9, 14, 16, 34, 36, 41, 43, 48, 50, 68, 70, 75, 77, 82, 84,
+         102, 104, 109, 111, 116, 118),
+    ),
+    "chain2_z2": ((2,), (2, 3), (2, 3), (2, 3)),
+    "chain3_z3": ((6,), (6, 7, 8), (6, 7, 8), (6, 7, 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVERS))
+def test_properness_covers_of_the_bundled_examples(name):
+    built = build_example(name)
+    action = cayley_self_action(built.monoid, built.quasi_generators)
+    for radius, cover in enumerate(COVERS[name]):
+        assert properness_witness(action, built.monoid.identity, radius) == cover
+
+
+def test_properness_cover_breaks_ties_toward_the_least_element(i2, i2_action):
+    # On the bundled examples every greedy tie ends in the same cover.  Here
+    # x1.s is moved onto x1.dom(s) for s = [1,-], so s qualifies at radius 0
+    # beside E(S): the identity covers E(S), then s lies in two cosets, its
+    # own and the swap's, each a gain of one, and the least element wins.
+    s, swap = elt(i2, 1, None), elt(i2, 1, 0)
+    assert swap < s
+    act = np.array(i2_action.act)
+    act[i2.identity, s] = act[i2.identity, i2.dom(s)]
+    bent = dataclasses.replace(i2_action, act=act)
+    assert properness_witness(bent, i2.identity, 0) == (i2.identity, swap)
 
 
 def test_properness_witness_needs_identity_fiber(i2, i2_action):

@@ -17,7 +17,7 @@ from invgeom.extmetric import (
     bfs,
     metric_from_int_table,
     successor_array,
-    trace_back,
+    trace_paths,
 )
 
 
@@ -98,8 +98,10 @@ def test_bfs_depth_limit_and_shortest_words_on_i3(i3, i3_transpositions):
     assert (full > 1).any()
     limited = bfs(succ, everything, limit=1)
     assert np.array_equal(limited, np.where(full <= 1, full, UNREACHED))
-    for src, s in np.argwhere(full != UNREACHED):
-        path, cols = trace_back(parent, column, src, s)
+    sources, targets = np.nonzero(full != UNREACHED)
+    vertices, columns, steps = trace_paths(full, parent, column, sources, targets)
+    for src, s, row, cols, k in zip(sources, targets, vertices, columns, steps):
+        path, cols = row[: k + 1].tolist(), cols[:k].tolist()
         assert len(cols) == full[src, s]
         acc = src
         for u, j in zip(path, cols):

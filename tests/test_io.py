@@ -13,6 +13,7 @@ from invgeom import (
 )
 from invgeom import fileio
 from invgeom.cayley import word_successors
+from invgeom.presheaf import MetricPresheaf, Semilattice
 
 
 def test_generator_file_round_trip(tmp_path):
@@ -59,6 +60,19 @@ def test_presheaf_round_trip(tmp_path, i3, i3_transpositions):
     assert np.array_equal(loaded.restrict, p.restrict)
     assert np.array_equal(loaded.metric.table, p.metric.table)
     assert set(loaded.edges) == set(p.edges)
+    fileio.save_presheaf(tmp_path / "again.json", loaded)
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_presheaf_with_a_null_and_an_int_label_on_one_pair_round_trips(tmp_path):
+    base = Semilattice(meet=np.zeros((1, 1), dtype=np.int32))
+    # label 0 first, so that a null label read as 0 would keep this order
+    p = MetricPresheaf.build(base, [0, 0], [[0], [1]], [(0, 1, 0), (0, 1, None)])
+    path = tmp_path / "p.json"
+    fileio.save_presheaf(path, p)
+    assert json.loads(path.read_text())["fibers"] == [[[0, 1, None], [0, 1, 0]]]
+    loaded = fileio.load_presheaf(path)
+    assert set(loaded.edges) == set(p.edges) == {(0, 1, None), (0, 1, 0)}
     fileio.save_presheaf(tmp_path / "again.json", loaded)
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 

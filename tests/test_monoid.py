@@ -416,6 +416,15 @@ def test_from_table_rejects_one_entry_i5_tampers():
         assert table[table[a, g], c] != table[a, table[g, c]]
 
 
+def test_a_loaded_table_scans_for_generators_once(i3):
+    with patch.object(
+        monoid_module, "generating_set", wraps=monoid_module.generating_set
+    ) as scan:
+        m = from_table(i3.product, i3.identity)
+        assert m.generating_set == i3.generating_set
+        assert scan.call_count == 1
+
+
 def test_generated_tables_are_not_swept(i3):
     with patch.object(
         monoid_module, "generating_set", wraps=monoid_module.generating_set

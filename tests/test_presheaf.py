@@ -13,7 +13,7 @@ from invgeom import (
     trivial_monoid,
     validate_presheaf,
 )
-from invgeom.extmetric import UNREACHED, bfs, trace_back
+from invgeom.extmetric import UNREACHED, bfs, trace_paths
 
 
 def single_fiber_presheaf():
@@ -143,8 +143,11 @@ def test_shortest_path_is_unit_geodesic(i3, i3_transpositions):
         pts = p.fiber(e)
         x = pts[0]
         level, parent, column = bfs(p.successors, [x], parents=True)
-        for y in pts:
-            path, columns = trace_back(parent, column, 0, y)
+        vertices, steps_taken, steps = trace_paths(
+            level, parent, column, [0] * len(pts), pts
+        )
+        for y, row, cols, k in zip(pts, vertices, steps_taken, steps):
+            path, columns = row[: k + 1].tolist(), cols[:k].tolist()
             assert len(path) == table[x, y] + 1 == len(columns) + 1
             for u, v, j in zip(path, path[1:], columns):
                 assert table[u, v] == 1

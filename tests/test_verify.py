@@ -2,10 +2,11 @@
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 from unittest.mock import patch
 
-from invgeom import geometry, verify
+from invgeom import action, geometry, verify
 from invgeom.verify import run_verification
 
 from test_action import stranded_point_action
@@ -118,6 +119,32 @@ def test_one_run_builds_each_metric_once(i3_action, i3_transpositions):
     assert word.call_count == 1
     assert predicates.call_count == 2  # the word metric and the Rips metric
     assert nested.call_count == 0
+
+
+def _calls(functions, run, *args, **kwargs):
+    """Calls of each function made by ``run``, under any name it is bound to."""
+    codes = {f.__code__: f.__name__ for f in functions}
+    counts = dict.fromkeys(codes.values(), 0)
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(hook)
+    try:
+        run(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def test_one_run_reuses_its_cobound_and_covers(i3_action, i3_transpositions):
+    shared = (action.coboundedness_constant, action.properness_witness)
+    # the extraction threshold 2T + 1 = 1 and the Rips radius 1 share a cover
+    counts = _calls(shared, run_verification, i3_action, i3_transpositions, 1)
+    assert counts == {"coboundedness_constant": 1, "properness_witness": 1}
+    counts = _calls(shared, run_verification, i3_action, i3_transpositions, 2)
+    assert counts == {"coboundedness_constant": 1, "properness_witness": 2}
 
 
 def _benchmark_tracer():
