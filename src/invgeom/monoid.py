@@ -1,11 +1,12 @@
 """Finite inverse monoids as fully enumerated multiplication tables.
 
 Elements are integer indices into an N x N product table.  Monoids built
-from partial bijections keep the bijections themselves; indices are
-assigned by sorting canonical image arrays, so they are deterministic
-regardless of generator order.
+from partial bijections keep their canonical image arrays and build each
+bijection when it is read; indices are assigned by sorting those arrays,
+so they are deterministic regardless of generator order.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -15,13 +16,46 @@ from .errors import CapacityError, ValidationError
 from .partial_bijection import UNDEFINED, PartialBijection, invert
 
 
+class Elements(Sequence):
+    """The partial bijections of a generated monoid, in index order.
+
+    Backed by the read-only ``count x n`` image matrix, undefined stored
+    as n, whose rows are in ``PartialBijection.sort_key`` order.  Element
+    i is built, and checked by ``PartialBijection``, when it is read.
+    """
+
+    def __init__(self, images):
+        images.setflags(write=False)
+        self.images = images
+
+    def __len__(self):
+        return len(self.images)
+
+    def __getitem__(self, i):
+        return self._bijection(self.images[i].tolist())
+
+    def __iter__(self):
+        return map(self._bijection, self.images.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Elements):
+            return np.array_equal(self.images, other.images)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def _bijection(self, row):
+        n = self.images.shape[1]
+        return PartialBijection(n, tuple(UNDEFINED if y == n else y for y in row))
+
+
 @dataclass(frozen=True, eq=False)
 class InverseMonoid:
     product: np.ndarray          # (N, N) element indices
     inverse: np.ndarray          # (N,)
     identity: int
     idempotent_mask: np.ndarray  # (N,) bool
-    elements: tuple | None = None  # PartialBijections, when available
+    elements: Elements | None = None  # PartialBijections, when available
     labels: tuple | None = None    # printable names, when available
 
     @property
@@ -229,9 +263,14 @@ def build_from_tables(product, identity, elements=None, labels=None, inverse=Non
     inverses, and that idempotents commute.  Raises ValidationError with a
     witness on the first failure.
 
-    With ``elements`` given, ``product`` must be their composition table,
-    which is associative because composition of maps is; associativity is
-    then not checked.
+    With ``elements`` given, ``product`` must be their composition table
+    as ``generate_monoid`` builds it, and neither associativity nor the
+    range of its entries is checked.  It is associative because
+    composition of maps is.  Its entries are in range by induction over
+    the rows in the order they are filled: a letter's row is the exact
+    lookup of its products' codes among the elements' codes, and every
+    other row g a gathers the letter row g at the entries of row a,
+    filled before it, so it holds only entries of row g.
 
     A candidate ``inverse`` replaces the search for inverses: with commuting
     idempotents it proves them unique (Howie, Fundamentals of Semigroup
@@ -243,7 +282,7 @@ def build_from_tables(product, identity, elements=None, labels=None, inverse=Non
         raise ValidationError(f"product table is not square: {product.shape}")
     if n == 0:
         raise ValidationError("empty product table")
-    if product.min() < 0 or product.max() >= n:
+    if elements is None and (product.min() < 0 or product.max() >= n):
         bad = np.argwhere((product < 0) | (product >= n))[0]
         raise ValidationError(
             f"table entry out of range at {tuple(bad)}",
@@ -281,6 +320,42 @@ def from_table(product, identity):
     return build_from_tables(np.array(product, dtype=np.int32), identity)
 
 
+def image_rows(maps, n):
+    """Image arrays of partial bijections on n points, undefined stored as n."""
+    for f in maps:
+        if f.ground_size != n:
+            raise ValidationError(
+                f"generators live on different ground sets: {f.ground_size} != {n}"
+            )
+    rows = [[n if y is UNDEFINED else y for y in f.image] for f in maps]
+    return np.array(rows, dtype=np.int64).reshape(-1, n)
+
+
+def image_codes(images):
+    """Codes of image arrays on n points, read in base n + 1, most
+    significant digit first, so code order is PartialBijection.sort_key
+    order (object integers once they pass the int64 range)."""
+    n = images.shape[-1]
+    digits = [(n + 1) ** k for k in range(n)[::-1]]
+    powers = np.array(digits, dtype=np.int64 if digits[0] * (n + 1) < 2**63 else object)
+    return images @ powers
+
+
+def lookup(sorted_codes, codes):
+    """Positions of ``codes`` in ``sorted_codes``, each checked exactly.
+
+    A position must lie inside ``sorted_codes`` and hold the code; the
+    first code that is not there raises ValidationError.
+    """
+    rows = np.searchsorted(sorted_codes, codes)
+    # a code past the last one finds the last one, which differs from it
+    missing = sorted_codes[np.minimum(rows, len(sorted_codes) - 1)] != codes
+    if missing.any():
+        i = int(np.argmax(missing))
+        raise ValidationError(f"image code {codes[i]} is not an element", witness=(i,))
+    return rows
+
+
 def generate_monoid(gens, element_cap=100_000, ground_size=None):
     """Smallest inverse monoid of partial bijections containing ``gens``.
 
@@ -294,37 +369,28 @@ def generate_monoid(gens, element_cap=100_000, ground_size=None):
     if not gens and ground_size is None:
         return trivial_monoid()
     n = gens[0].ground_size if gens else ground_size
-    for g in gens:
-        if g.ground_size != n:
-            raise ValidationError(
-                f"generators live on different ground sets: {g.ground_size} != {n}"
-            )
     # Images store undefined as n and end in n -> n, so letters[j][x] is
-    # letter j times x.  Codes read images in base n + 1, most significant
-    # digit first, so code order is PartialBijection.sort_key order.
-    seeds = [PartialBijection.identity(n), *gens, *map(invert, gens)]
-    letters = np.unique(
-        [[n if y is None else y for y in f.image] + [n] for f in seeds], axis=0
-    ).astype(np.min_scalar_type(n))
-    digits = [(n + 1) ** k for k in range(n)[::-1]]
-    powers = np.array(digits, dtype=np.int64 if digits[0] * (n + 1) < 2**63 else object)
+    # letter j times x.
+    seeds = image_rows([PartialBijection.identity(n), *gens, *map(invert, gens)], n)
+    letters = np.pad(np.unique(seeds, axis=0), ((0, 0), (0, 1)), constant_values=n)
+    letters = letters.astype(np.min_scalar_type(n))
     # Breadth-first closure of the identity, the least row letters[0], under
     # left multiplication; a new element is letter * parent, first pair found.
     images, parent, letter, start = letters[:1, :n], [-1], [-1], 0
     while start < len(images):
         frontier = images[start:]
         cand = letters[:, frontier].reshape(-1, n)
-        codes, first = np.unique(cand @ powers, return_index=True)
-        first = first[~np.isin(codes, images @ powers)]
+        codes, first = np.unique(image_codes(cand), return_index=True)
+        first = first[~np.isin(codes, image_codes(images))]
         if len(images) + len(first) > element_cap:
             raise CapacityError(f"closure exceeded element cap {element_cap}")
         parent = np.append(parent, start + first % len(frontier))
         letter = np.append(letter, first // len(frontier))
         start, images = len(images), np.concatenate([images, cand[first]])
-    sorted_codes = np.sort(images @ powers)
+    sorted_codes = np.sort(image_codes(images))
 
     def index(imgs):
-        return np.searchsorted(sorted_codes, imgs @ powers)
+        return lookup(sorted_codes, image_codes(imgs))
 
     count, rank, letter_rows = len(images), index(images), index(letters[:, :n])
     canon = images[np.argsort(rank)]
@@ -338,20 +404,18 @@ def generate_monoid(gens, element_cap=100_000, ground_size=None):
     gather, deep = np.empty(count, dtype=np.intp), parent > 0
     for y, a, g in zip(rank[deep], rank[parent[deep]], letter_rows[letter[deep]]):
         gather[:] = product[a]
-        np.take(product[g], gather, out=product[y], mode="clip")
-    elements = tuple(
-        PartialBijection(n, tuple(UNDEFINED if y == n else y for y in row))
-        for row in canon.tolist()
-    )
+        product[g].take(gather, out=product[y], mode="clip")
     return build_from_tables(
-        product, rank[0], elements, inverse=index(reverse[:, :n])
+        product, rank[0], Elements(canon), inverse=index(reverse[:, :n])
     )
 
 
 def generator_indices(monoid, gens):
     """Sorted indices, without repeats, of partial bijections in ``monoid``."""
-    index = {f.image: i for i, f in enumerate(monoid.elements)}
-    return tuple(sorted({index[g.image] for g in gens}))
+    images = monoid.elements.images
+    wanted = image_rows(gens, images.shape[1])
+    rows = lookup(image_codes(images), image_codes(wanted))
+    return tuple(sorted(set(rows.tolist())))
 
 
 def trivial_monoid():

@@ -40,9 +40,12 @@ def check_edge_pairing(monoid):
     """Within an L-class, every labelled edge reverses under the inverse label.
 
     For every label x and every t: with s = x t, if dom(s) = dom(t) then
-    t = x^-1 s, and when x is idempotent additionally s = t.  Labels are
-    swept a block of rows at a time; the witness is the least failing x,
-    and for it the least t, a failed reversal before a moved loop.
+    t = x^-1 s.  An idempotent label's in-class edges are then loops,
+    s = t, with no test of their own: x^-1 = x, so t = x s = x (x t) =
+    (x x) t = x t = s.  That needs only associativity, and every table
+    that reaches here has it, by Light's test or by construction.  Labels
+    are swept a block of rows at a time; the witness is the least failing
+    x, and for it the least t.
     """
     product, dom = monoid.product, monoid.dom_table
     elems = np.arange(monoid.order)
@@ -51,11 +54,10 @@ def check_edge_pairing(monoid):
         s = product[x]
         same = dom[s] == dom
         back = same & (product[monoid.inverse[x][:, None], s] != elems)
-        loops = same & monoid.idempotent_mask[x][:, None] & (s != elems)
-        bad = np.flatnonzero((back | loops).any(axis=1))
+        bad = np.flatnonzero(back.any(axis=1))
         if bad.size:
             i = bad[0]
-            t = int(np.argmax(back[i] if back[i].any() else loops[i]))
+            t = int(np.argmax(back[i]))
             return CheckResult(
                 "edge-pairing", False, witness=(int(x[i]), t, int(s[i, t]))
             )

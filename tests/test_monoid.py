@@ -18,7 +18,14 @@ from invgeom import (
 )
 from invgeom import monoid as monoid_module
 from invgeom.families import build_example, symmetric_inverse_generators
-from invgeom.monoid import _check_associativity, generating_set
+from invgeom.monoid import (
+    Elements,
+    _check_associativity,
+    generating_set,
+    generator_indices,
+    image_codes,
+    lookup,
+)
 from invgeom.partial_bijection import compose, invert
 
 from conftest import enumerate_partial_bijections
@@ -125,6 +132,15 @@ def test_from_table_rejects_non_unique_inverse():
 def test_from_table_rejects_bad_identity():
     with pytest.raises(ValidationError):
         from_table([[0, 0], [0, 0]], 1)
+
+
+@pytest.mark.parametrize("value", ["order", -1])
+def test_from_table_rejects_one_entry_out_of_range(i2, value):
+    table = np.array(i2.product, dtype=np.int64)
+    table[3, 4] = i2.order if value == "order" else value
+    with pytest.raises(ValidationError, match="out of range") as err:
+        from_table(table, i2.identity)
+    assert err.value.witness == (3, 4)
 
 
 def test_dom_ran_examples(i2):
@@ -321,6 +337,71 @@ def test_indices_do_not_depend_on_generator_order(name):
         assert again.elements == m.elements
         assert np.array_equal(again.product, m.product)
         assert np.array_equal(again.inverse, m.inverse)
+
+
+@pytest.mark.parametrize("name", ["i4", *(f"random-5-{seed}" for seed in range(6))])
+def test_generator_indices_match_a_dict_over_the_elements(name):
+    gens = GENERATING_SETS[name]()
+    m = generate_monoid(gens)
+    index = {f.image: i for i, f in enumerate(m.elements)}
+    inverses = [invert(g) for g in gens]
+    for chosen in ([], gens, gens + gens[::-1], inverses + gens[:1], inverses * 2):
+        expected = tuple(sorted({index[g.image] for g in chosen}))
+        assert generator_indices(m, chosen) == expected
+    n = gens[0].ground_size
+    absent = [f for f in enumerate_partial_bijections(n) if f.image not in index]
+    if absent:
+        with pytest.raises(ValidationError, match="not an element"):
+            generator_indices(m, [gens[0], min(absent, key=PartialBijection.sort_key)])
+
+
+def test_letter_lookup_rejects_a_missing_composite(i3):
+    images = i3.elements.images
+    sorted_codes = image_codes(images)
+    n = images.shape[1]
+    for g in symmetric_inverse_generators(3):
+        letter = np.append([n if y is None else y for y in g.image], n)
+        composites = image_codes(letter[images])  # g a for every element a
+        assert np.array_equal(lookup(sorted_codes, composites), i3.product[i3.elements.index(g)])
+        found = np.unique(composites)
+        for code in (found[0], found[len(found) // 2], found[-1]):
+            with pytest.raises(ValidationError, match="not an element") as err:
+                lookup(sorted_codes[sorted_codes != code], composites)
+            assert composites[err.value.witness[0]] == code
+
+
+def test_elements_are_built_when_read(i4):
+    elems = i4.elements
+    assert len(elems) == i4.order == 209
+    listed = list(elems)
+    assert listed == sorted(listed, key=PartialBijection.sort_key)
+    assert len(set(listed)) == len(listed)
+    for i in (0, 7, 208, -1):
+        for key in (i, np.int16(i), np.intp(i)):
+            assert elems[key] == listed[i]
+    with pytest.raises(IndexError):
+        elems[209]
+    assert i4.element_label(7) == listed[7].short() == "[0,2,1,3]"
+    with pytest.raises(ValueError):
+        elems.images[0, 0] = 1
+
+
+def test_elements_compare_like_tuples(i4):
+    gens = symmetric_inverse_generators(4)
+    shuffled = [gens[i] for i in np.random.default_rng(3).permutation(len(gens))]
+    again = generate_monoid(shuffled)
+    assert again.elements == i4.elements
+    assert not again.elements != i4.elements
+    assert again.elements == tuple(i4.elements)
+    assert again.elements != list(i4.elements)
+    assert generate_monoid(gens[:-1]).elements != i4.elements  # the group part
+
+
+def test_an_element_read_is_still_checked():
+    elems = Elements(np.array([[0, 1], [1, 1]], dtype=np.uint8))
+    assert elems[0] == PartialBijection.identity(2)
+    with pytest.raises(ValueError, match="not injective"):
+        elems[1]
 
 
 def test_element_cap_is_exact(i3):
