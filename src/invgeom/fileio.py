@@ -12,11 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .action import EtaleAction
 from .errors import ParseError
 from .monoid import from_table, generate_monoid, generator_indices
 from .partial_bijection import UNDEFINED, PartialBijection
-from .presheaf import MetricPresheaf, Semilattice
 
 
 def dumps_canonical(obj):
@@ -206,6 +204,8 @@ def save_presheaf(path, presheaf):
 
 
 def load_presheaf(path):
+    from .presheaf import MetricPresheaf, Semilattice
+
     data = _read_json(path)
     base = _require(data, "base", dict, path)
     meet = _require(base, "meet", list, f"{path}:base")
@@ -259,6 +259,8 @@ def save_action(path, action, monoid_path, presheaf_path, gens=None):
 
 def load_action(path, data):
     """(action, stored gens or None) from the parsed action file at ``path``."""
+    from .action import EtaleAction
+
     monoid_rel = _require(data, "monoid", str, path)
     presheaf_rel = _require(data, "presheaf", str, path)
     act = _require(data, "act", list, path)

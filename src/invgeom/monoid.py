@@ -6,6 +6,8 @@ bijection when it is read; indices are assigned by sorting those arrays,
 so they are deterministic regardless of generator order.
 """
 
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -94,20 +96,6 @@ class InverseMonoid:
     @cached_property
     def idempotents(self):
         return tuple(int(e) for e in np.flatnonzero(self.idempotent_mask))
-
-    def is_idempotent(self, s):
-        return bool(self.idempotent_mask[s])
-
-    def natural_leq(self, s, t):
-        """s <= t iff s = e t for some idempotent e (scan over all of E)."""
-        col = self.product[np.asarray(self.idempotents), t]
-        return bool(np.any(col == s))
-
-    def green_L(self, s, t):
-        return self.dom(s) == self.dom(t)
-
-    def green_R(self, s, t):
-        return self.ran(s) == self.ran(t)
 
     @cached_property
     def lclasses(self):
@@ -267,10 +255,12 @@ def build_from_tables(product, identity, elements=None, labels=None, inverse=Non
     as ``generate_monoid`` builds it, and neither associativity nor the
     range of its entries is checked.  It is associative because
     composition of maps is.  Its entries are in range by induction over
-    the rows in the order they are filled: a letter's row is the exact
-    lookup of its products' codes among the elements' codes, and every
-    other row g a gathers the letter row g at the entries of row a,
-    filled before it, so it holds only entries of row g.
+    the breadth-first levels in which the rows are filled: a letter's row
+    is the exact lookup of its products' codes among the elements' codes,
+    and every other row a h gathers row a at the entries of the letter
+    row h.  So the gather indices are entries of letter rows, all in
+    range, and the clip mode never clips; and row a h holds only entries
+    of row a, whose level comes before it.
 
     A candidate ``inverse`` replaces the search for inverses: with commuting
     idempotents it proves them unique (Howie, Fundamentals of Semigroup
@@ -364,6 +354,14 @@ def generate_monoid(gens, element_cap=100_000, ground_size=None):
     element cap raises CapacityError.  Every row of the product table is a
     composite of maps, so the table is associative by construction and is
     not swept for it.
+
+    The closure of the identity is enumerated breadth-first by right
+    multiplication by the letters (identity, generators and inverses), so
+    each element past the letters is a h for a parent a of the level
+    before it and a letter h.  A letter's row is the exact lookup of its
+    left products; row a h is row a gathered at letter row h, since
+    (a h) x = a (h x).  The rows of a level are split across the CPUs
+    this process may run on, one level after another.
     """
     gens = list(gens)
     if not gens and ground_size is None:
@@ -375,18 +373,20 @@ def generate_monoid(gens, element_cap=100_000, ground_size=None):
     letters = np.pad(np.unique(seeds, axis=0), ((0, 0), (0, 1)), constant_values=n)
     letters = letters.astype(np.min_scalar_type(n))
     # Breadth-first closure of the identity, the least row letters[0], under
-    # left multiplication; a new element is letter * parent, first pair found.
-    images, parent, letter, start = letters[:1, :n], [-1], [-1], 0
-    while start < len(images):
-        frontier = images[start:]
-        cand = letters[:, frontier].reshape(-1, n)
+    # right multiplication; a new element is parent * letter, first pair
+    # found, and bounds holds where each level starts.
+    images, parent, letter, bounds = letters[:1, :n], [-1], [-1], [0]
+    while bounds[-1] < len(images):
+        frontier = np.pad(images[bounds[-1]:], ((0, 0), (0, 1)), constant_values=n)
+        cand = frontier[:, letters[:, :n]].reshape(-1, n)
         codes, first = np.unique(image_codes(cand), return_index=True)
         first = first[~np.isin(codes, image_codes(images))]
         if len(images) + len(first) > element_cap:
             raise CapacityError(f"closure exceeded element cap {element_cap}")
-        parent = np.append(parent, start + first % len(frontier))
-        letter = np.append(letter, first // len(frontier))
-        start, images = len(images), np.concatenate([images, cand[first]])
+        parent = np.append(parent, bounds[-1] + first // len(letters))
+        letter = np.append(letter, first % len(letters))
+        bounds.append(len(images))
+        images = np.concatenate([images, cand[first]])
     sorted_codes = np.sort(image_codes(images))
 
     def index(imgs):
@@ -396,18 +396,71 @@ def generate_monoid(gens, element_cap=100_000, ground_size=None):
     canon = images[np.argsort(rank)]
     reverse = np.full((count, n + 1), n)  # inverse images; column n is a sink
     reverse[np.arange(count)[:, None], canon] = np.arange(n)
-    # Row g*a is row g gathered at row a (clip mode skips a buffered copy);
-    # a letter's row is its left products, and any parent row comes first.
+    # Level 0 is the identity and level 1 the other letters; each later
+    # level is its rows, their parent rows (by rank) and their letters.
+    at = [index(image[canon]) for image in letters]
     product = np.empty((count, count), np.int16 if count < 2**15 else np.int32)
-    for g, image in zip(letter_rows, letters):
-        product[g] = index(image[canon])
-    gather, deep = np.empty(count, dtype=np.intp), parent > 0
-    for y, a, g in zip(rank[deep], rank[parent[deep]], letter_rows[letter[deep]]):
-        gather[:] = product[a]
-        product[g].take(gather, out=product[y], mode="clip")
+    for g, row in zip(letter_rows, at):
+        product[g] = row
+    steps = np.stack([rank, rank[parent], letter])
+    levels = [steps[:, lo:hi] for lo, hi in zip(bounds[2:], bounds[3:])]
+    _fill_rows(product, at, levels, max(1, min(_usable_cpus(), count - len(letters))))
     return build_from_tables(
         product, rank[0], Elements(canon), inverse=index(reverse[:, :n])
     )
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _fill_rows(product, at, levels, workers):
+    """Fill ``product[y]`` with ``product[a]`` gathered at ``at[h]`` for
+    each column (y, a, h) of each 3 x m array in ``levels``, the columns
+    of a level split among ``workers`` threads, the caller's among them.
+
+    ``ndarray.take`` releases the interpreter lock, and its clip mode
+    skips the buffered copy that raise mode makes.  A barrier separates
+    the levels, so a row's parent, which lies in an earlier level, is
+    filled before it is read.  All threads are joined before this returns,
+    and the first exception raised in any of them is raised here.
+    """
+    barrier, errors = threading.Barrier(workers), []
+
+    def work(k):
+        try:
+            for i, level in enumerate(levels):
+                if i:
+                    barrier.wait()
+                # memoryviews yield Python ints one at a time: quicker to
+                # index with than numpy scalars, and no list is held
+                for y, a, h in zip(*map(memoryview, level[:, k::workers])):
+                    product[a].take(at[h], out=product[y], mode="clip")
+        except threading.BrokenBarrierError:
+            pass  # another worker failed and broke the barrier
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+            barrier.abort()
+
+    started = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=work, args=(k,))
+            thread.start()
+            started.append(thread)
+        work(0)
+    except BaseException:  # a thread failed to start: release the others
+        barrier.abort()
+        raise
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def generator_indices(monoid, gens):

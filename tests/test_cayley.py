@@ -112,7 +112,7 @@ def test_word_metric_agreement_oracle(fixture, gens_fixture, request):
     for t in range(m.order):
         pure, mixed = pure_from[t], mixed_from[t]
         for s in range(m.order):
-            if m.green_L(s, t):
+            if m.dom(s) == m.dom(t):  # s L t
                 assert pure[s] == mixed[s] == table[s, t]
 
 

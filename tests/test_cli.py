@@ -273,6 +273,60 @@ def test_verify_leaves_numpy_ma_unimported(tmp_path):
     assert out.stdout.splitlines()[-1] == "False"
 
 
+# The names the package exported when its __init__ imported every layer.
+PACKAGE_EXPORTS = {
+    "action": "EtaleAction cayley_self_action check_theta_isometry"
+    " coboundedness_constant properness_witness validate_action",
+    "cayley": "CayleyMetricTable cayley_metric symmetrize word_distances",
+    "errors": "CapacityError InvgeomError ParseError PreconditionError"
+    " SizeMismatchError TheoremViolationError ValidationError",
+    "extmetric": "INFINITE ExtendedMetric all_pairs_bfs",
+    "families": "BuiltExample ExampleSpec build_example list_examples"
+    " partial_bijection_count semilattice_times_group symmetric_inverse_monoid",
+    "geometry": "GenerationCertificate GeneratorExtraction MetricPredicateReport"
+    " QiReport QuasiGenerationCertificate RipsGraph extract_generators"
+    " orbit_inequalities orbit_map_qi qi_constants quasi_generators_from_metric"
+    " rips_embedding_bounds rips_graph validate_metric_predicates",
+    "monoid": "InverseMonoid build_from_tables from_table generate_monoid"
+    " generating_set mulclose natural_leq_matrix trivial_monoid",
+    "partial_bijection": "UNDEFINED PartialBijection compose invert",
+    "presheaf": "MetricPresheaf Semilattice cayley_presheaf validate_presheaf",
+    "report": "CheckResult Violation",
+}
+
+
+def test_building_a_monoid_loads_only_the_algebra_layer(i2_files):
+    gens = str(i2_files / "i2.gens.json")
+    code = (
+        "import importlib, json, sys\n"
+        "from invgeom import fileio, generate_monoid\n"
+        f"n, gens = fileio.load_generator_file({gens!r})\n"
+        "assert generate_monoid(gens, ground_size=n).order == 7\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        "import invgeom\n"
+        f"exports = {PACKAGE_EXPORTS!r}\n"
+        "for module, names in exports.items():\n"
+        "    owner = importlib.import_module('invgeom.' + module)\n"
+        "    for name in names.split():\n"
+        "        assert getattr(invgeom, name) is getattr(owner, name), name\n"
+        "        assert name in dir(invgeom), name\n"
+        "print('exports resolve')\n"
+    )
+    src = str(Path(invgeom.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded, resolved = out.stdout.splitlines()[-2:]
+    unwanted = {
+        f"invgeom.{name}"
+        for name in "action presheaf cayley extmetric geometry families report verify cli".split()
+    } | {"concurrent.futures", "logging"}
+    assert "invgeom.monoid" in json.loads(loaded)
+    assert unwanted.isdisjoint(json.loads(loaded))
+    assert resolved == "exports resolve"
+
+
 def _copy_i2(i2_files, tmp_path, *names):
     for name in names:
         (tmp_path / name).write_bytes((i2_files / name).read_bytes())

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+import types
 from unittest.mock import patch
 
 import numpy as np
@@ -32,6 +36,21 @@ from conftest import enumerate_partial_bijections
 
 swap = PartialBijection.transposition(2, 0, 1)
 e0 = PartialBijection.partial_identity(2, [0])
+
+
+def natural_leq(m, s, t):
+    """s <= t iff s = e t for some idempotent e."""
+    return any(m.mul(e, t) == s for e in m.idempotents)
+
+
+def green_L(m, s, t):
+    """s L t iff S s = S t."""
+    return set(m.product[:, s].tolist()) == set(m.product[:, t].tolist())
+
+
+def green_R(m, s, t):
+    """s R t iff s S = t S."""
+    return set(m.product[s].tolist()) == set(m.product[t].tolist())
 
 
 def elt(monoid, *image):
@@ -156,9 +175,9 @@ def test_natural_leq_examples(i2):
     a = elt(i2, 1, None)
     sw = elt(i2, 1, 0)
     for s in range(i2.order):
-        assert i2.natural_leq(s, s)
-    assert i2.natural_leq(a, sw)
-    assert not i2.natural_leq(sw, i2.identity)
+        assert natural_leq(i2, s, s)
+    assert natural_leq(i2, a, sw)
+    assert not natural_leq(i2, sw, i2.identity)
 
 
 @pytest.mark.parametrize("fixture", ["i2", "i3"])
@@ -167,24 +186,29 @@ def test_natural_leq_closed_form(fixture, request):
     for s in range(m.order):
         for t in range(m.order):
             closed = m.mul(m.ran(s), t) == s
-            assert m.natural_leq(s, t) == closed
+            assert natural_leq(m, s, t) == closed
 
 
 def test_natural_leq_matrix_agrees(i2):
     leq = natural_leq_matrix(i2)
     for s in range(i2.order):
         for t in range(i2.order):
-            assert leq[s, t] == i2.natural_leq(s, t)
+            assert leq[s, t] == natural_leq(i2, s, t)
 
 
 def test_green_relations(i2):
     a = elt(i2, 1, None)
     e0i = elt(i2, 0, None)
-    assert i2.green_L(a, a)
-    assert i2.green_L(e0i, a)
-    assert not i2.green_L(i2.identity, e0i)
-    assert i2.green_R(a, elt(i2, None, 1))
-    assert not i2.green_R(a, e0i)
+    assert green_L(i2, a, a)
+    assert green_L(i2, e0i, a)
+    assert not green_L(i2, i2.identity, e0i)
+    assert green_R(i2, a, elt(i2, None, 1))
+    assert not green_R(i2, a, e0i)
+    # in an inverse monoid, s L t iff dom s = dom t and s R t iff ran s = ran t
+    for s in range(i2.order):
+        for t in range(i2.order):
+            assert green_L(i2, s, t) == (i2.dom(s) == i2.dom(t))
+            assert green_R(i2, s, t) == (i2.ran(s) == i2.ran(t))
 
 
 @pytest.mark.parametrize("fixture", ["i2", "i3"])
@@ -197,7 +221,7 @@ def test_left_factor_lemma(fixture, request):
             if m.dom(s) != m.dom(t):
                 continue
             assert m.mul(m.inv(x), s) == t
-            if m.is_idempotent(x):
+            if m.mul(x, x) == x:
                 assert s == t
 
 
@@ -206,14 +230,14 @@ def test_dom_of_product_descends(fixture, request):
     m = request.getfixturevalue(fixture)
     for s in range(m.order):
         for t in range(m.order):
-            assert m.natural_leq(m.dom(m.mul(s, t)), m.dom(t))
+            assert natural_leq(m, m.dom(m.mul(s, t)), m.dom(t))
 
 
 def test_idempotents_form_commuting_subsemigroup(i3):
     for e in i3.idempotents:
         for f in i3.idempotents:
             ef = i3.mul(e, f)
-            assert i3.is_idempotent(ef)
+            assert i3.mul(ef, ef) == ef
             assert ef == i3.mul(f, e)
 
 
@@ -276,7 +300,7 @@ def test_generated_monoids_satisfy_the_axioms(gens):
     for s in range(m.order):
         assert m.mul(m.mul(s, m.inv(s)), s) == s
         for t in range(m.order):
-            assert m.natural_leq(m.dom(m.mul(s, t)), m.dom(t))
+            assert natural_leq(m, m.dom(m.mul(s, t)), m.dom(t))
 
 
 def _random_generators(seed, n):
@@ -324,6 +348,119 @@ def test_product_table_matches_compose_oracle(name):
     assert np.array_equal(m.product, expected)
     assert [elems[t] for t in m.inverse] == [invert(f) for f in elems]
     assert elems[m.identity] == PartialBijection.identity(gens[0].ground_size)
+
+
+def _generate_with_workers(gens, workers, monkeypatch):
+    """generate_monoid with its fill helper called on ``workers`` threads."""
+    fill = monoid_module._fill_rows
+
+    def forced(product, at, levels, _):
+        fill(product, at, levels, workers)
+
+    monkeypatch.setattr(monoid_module, "_fill_rows", forced)
+    return generate_monoid(gens)
+
+
+@pytest.mark.parametrize("name", ["i4", *(f"random-5-{seed}" for seed in range(6))])
+def test_every_worker_count_fills_the_same_table(name, monkeypatch):
+    gens = GENERATING_SETS[name]()
+    one = _generate_with_workers(gens, 1, monkeypatch)
+    # more workers than cores, switching threads as often as it can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        three = _generate_with_workers(gens, 3, monkeypatch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert one.product.tobytes() == three.product.tobytes()
+    elems = one.elements
+    index = {f.image: i for i, f in enumerate(elems)}
+    expected = np.array([[index[compose(a, b).image] for b in elems] for a in elems])
+    assert np.array_equal(three.product, expected)
+
+
+def _levels(*levels):
+    """Levels of (y, a, h) rows as the fill helper takes them."""
+    return [np.array(rows).T for rows in levels]
+
+
+def _fill_small_table(levels):
+    """Run the fill helper on 3 workers over a 4 x 4 table, in a thread
+    joined with a timeout; returns what it raised."""
+    product = np.zeros((4, 4), dtype=np.int16)
+    at = np.zeros((1, 4), dtype=np.intp)
+    raised = []
+
+    def call():
+        try:
+            monoid_module._fill_rows(product, at, _levels(*levels), 3)
+        except (IndexError, RuntimeError) as exc:
+            raised.append(exc)
+
+    before = threading.active_count()
+    runner = threading.Thread(target=call)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive()
+    assert threading.active_count() == before
+    return raised
+
+
+@pytest.mark.parametrize("bad", [(0, 0), (0, 1), (1, 0), (1, 2)])
+def test_a_failing_worker_raises_in_the_caller(bad):
+    # rows are dealt to workers round robin; a target row past the table
+    # fails in the worker given row bad[1] of level bad[0], the caller's
+    # own work being worker 0
+    levels = [[(0, 0, 0), (1, 0, 0), (2, 0, 0)], [(3, 0, 0), (1, 0, 0), (2, 0, 0)]]
+    levels[bad[0]][bad[1]] = (9, 0, 0)
+    [raised] = _fill_small_table(levels)
+    assert isinstance(raised, IndexError)
+
+
+def test_a_level_waits_for_the_level_before():
+    # the caller's level-1 row is slow to fill, and worker 1's level-2 row
+    # gathers from it: without the barrier it would read the unfilled row
+    class SlowLetterOne(list):
+        def __getitem__(self, h):
+            if h == 1:
+                time.sleep(0.2)
+            return super().__getitem__(h)
+
+    product = np.zeros((4, 4), dtype=np.int16)
+    product[0] = np.arange(4)
+    at = SlowLetterOne([np.arange(4), np.arange(4)[::-1].copy()])
+    levels = _levels([(1, 0, 1)], [(2, 0, 0), (3, 1, 0)])
+    monoid_module._fill_rows(product, at, levels, 2)
+    assert product[1].tolist() == product[3].tolist() == [3, 2, 1, 0]
+
+
+def test_a_thread_that_fails_to_start_releases_the_others(monkeypatch):
+    class SecondFails(threading.Thread):
+        made = 0
+
+        def start(self):
+            SecondFails.made += 1
+            if SecondFails.made == 2:
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    fake = types.SimpleNamespace(
+        Thread=SecondFails,
+        Barrier=threading.Barrier,
+        BrokenBarrierError=threading.BrokenBarrierError,
+    )
+    monkeypatch.setattr(monoid_module, "threading", fake)
+    levels = [[(0, 0, 0), (1, 0, 0), (2, 0, 0)], [(3, 0, 0)]]
+    [raised] = _fill_small_table(levels)
+    assert isinstance(raised, RuntimeError)
+
+
+def test_generate_monoid_joins_every_thread(monkeypatch):
+    monkeypatch.setattr(monoid_module, "_usable_cpus", lambda: 3)
+    before = threading.active_count()
+    m = generate_monoid(symmetric_inverse_generators(4))
+    assert threading.active_count() == before
+    assert m.order == 209
 
 
 @pytest.mark.parametrize("name", ["i4", "random-5-0", "random-5-4"])
