@@ -360,8 +360,9 @@ def generate_monoid(gens, element_cap=100_000, ground_size=None):
     each element past the letters is a h for a parent a of the level
     before it and a letter h.  A letter's row is the exact lookup of its
     left products; row a h is row a gathered at letter row h, since
-    (a h) x = a (h x).  The rows of a level are split across the CPUs
-    this process may run on, one level after another.
+    (a h) x = a (h x).  The levels are filled one after another, and the
+    rows of a level of at least ``_THREADED_CELLS`` cells are split
+    across the CPUs this process may run on.
     """
     gens = list(gens)
     if not gens and ground_size is None:
@@ -396,15 +397,18 @@ def generate_monoid(gens, element_cap=100_000, ground_size=None):
     canon = images[np.argsort(rank)]
     reverse = np.full((count, n + 1), n)  # inverse images; column n is a sink
     reverse[np.arange(count)[:, None], canon] = np.arange(n)
-    # Level 0 is the identity and level 1 the other letters; each later
-    # level is its rows, their parent rows (by rank) and their letters.
+    # Level 0 is the identity and level 1 the other letters, whose rows
+    # are at; each later level is its columns of steps: its rows, their
+    # parent rows (by rank) and their letters.
     at = [index(image[canon]) for image in letters]
     product = np.empty((count, count), np.int16 if count < 2**15 else np.int32)
     for g, row in zip(letter_rows, at):
         product[g] = row
     steps = np.stack([rank, rank[parent], letter])
-    levels = [steps[:, lo:hi] for lo, hi in zip(bounds[2:], bounds[3:])]
-    _fill_rows(product, at, levels, max(1, min(_usable_cpus(), count - len(letters))))
+    cpus = _usable_cpus()
+    for lo, hi in zip(bounds[2:], bounds[3:]):
+        workers = min(cpus, hi - lo) if (hi - lo) * count >= _THREADED_CELLS else 1
+        _fill_level(product, at, steps[:, lo:hi], workers)
     return build_from_tables(
         product, rank[0], Elements(canon), inverse=index(reverse[:, :n])
     )
@@ -418,33 +422,35 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _fill_rows(product, at, levels, workers):
+# A level of fewer table cells than this is filled on the calling thread.
+# A row gather takes ~2 ns a cell, so a level this size takes ~2 ms on
+# one thread, and a second thread saves ~1 ms of it for the ~0.15 ms it
+# takes to start and join (2-core Xeon VM).  Every level of I4 and I5
+# stays on one thread, and all but the last two of I6's ten are split.
+_THREADED_CELLS = 2**20
+
+
+def _fill_level(product, at, level, workers):
     """Fill ``product[y]`` with ``product[a]`` gathered at ``at[h]`` for
-    each column (y, a, h) of each 3 x m array in ``levels``, the columns
-    of a level split among ``workers`` threads, the caller's among them.
+    each column (y, a, h) of the 3 x m array ``level``, the columns dealt
+    round robin to ``workers`` threads, the caller's among them.
 
     ``ndarray.take`` releases the interpreter lock, and its clip mode
-    skips the buffered copy that raise mode makes.  A barrier separates
-    the levels, so a row's parent, which lies in an earlier level, is
-    filled before it is read.  All threads are joined before this returns,
-    and the first exception raised in any of them is raised here.
+    skips the buffered copy that raise mode makes.  The rows read, of
+    earlier levels, are filled before this is called.  All threads are
+    joined before this returns, and the first exception raised in any of
+    them is raised here.
     """
-    barrier, errors = threading.Barrier(workers), []
+    errors = []
 
     def work(k):
         try:
-            for i, level in enumerate(levels):
-                if i:
-                    barrier.wait()
-                # memoryviews yield Python ints one at a time: quicker to
-                # index with than numpy scalars, and no list is held
-                for y, a, h in zip(*map(memoryview, level[:, k::workers])):
-                    product[a].take(at[h], out=product[y], mode="clip")
-        except threading.BrokenBarrierError:
-            pass  # another worker failed and broke the barrier
+            # memoryviews yield Python ints one at a time: quicker to
+            # index with than numpy scalars, and no list is held
+            for y, a, h in zip(*map(memoryview, level[:, k::workers])):
+                product[a].take(at[h], out=product[y], mode="clip")
         except BaseException as exc:  # re-raised in the caller below
             errors.append(exc)
-            barrier.abort()
 
     started = []
     try:
@@ -453,9 +459,6 @@ def _fill_rows(product, at, levels, workers):
             thread.start()
             started.append(thread)
         work(0)
-    except BaseException:  # a thread failed to start: release the others
-        barrier.abort()
-        raise
     finally:
         for thread in started:
             thread.join()

@@ -138,7 +138,8 @@ def test_orbit_map_qi_rejects_a_map_that_breaks_finiteness(i3, i3_transpositions
 def test_orbit_order_preservation_explicitly(i2, i2_swap, i2_action):
     p = i2_action.presheaf
     e0 = elt(i2, 0, None)
-    assert i2.mul(e0, i2.identity) == e0  # e0 <= 1 in the natural order
+    # e0 <= 1 in the natural order: e0 = e 1 for some idempotent e
+    assert any(i2.mul(e, i2.identity) == e0 for e in i2.idempotents)
     assert p.leq(
         i2_action.apply(i2.identity, e0),
         i2_action.apply(i2.identity, i2.identity),

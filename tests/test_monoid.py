@@ -351,13 +351,13 @@ def test_product_table_matches_compose_oracle(name):
 
 
 def _generate_with_workers(gens, workers, monkeypatch):
-    """generate_monoid with its fill helper called on ``workers`` threads."""
-    fill = monoid_module._fill_rows
+    """generate_monoid with every level filled on ``workers`` threads."""
+    fill = monoid_module._fill_level
 
-    def forced(product, at, levels, _):
-        fill(product, at, levels, workers)
+    def forced(product, at, level, _):
+        fill(product, at, level, workers)
 
-    monkeypatch.setattr(monoid_module, "_fill_rows", forced)
+    monkeypatch.setattr(monoid_module, "_fill_level", forced)
     return generate_monoid(gens)
 
 
@@ -379,21 +379,17 @@ def test_every_worker_count_fills_the_same_table(name, monkeypatch):
     assert np.array_equal(three.product, expected)
 
 
-def _levels(*levels):
-    """Levels of (y, a, h) rows as the fill helper takes them."""
-    return [np.array(rows).T for rows in levels]
-
-
-def _fill_small_table(levels):
-    """Run the fill helper on 3 workers over a 4 x 4 table, in a thread
-    joined with a timeout; returns what it raised."""
+def _fill_small_table(rows):
+    """Run the fill helper on 3 workers over one level of (y, a, h) rows
+    of a 4 x 4 table, in a thread joined with a timeout; returns what it
+    raised."""
     product = np.zeros((4, 4), dtype=np.int16)
     at = np.zeros((1, 4), dtype=np.intp)
     raised = []
 
     def call():
         try:
-            monoid_module._fill_rows(product, at, _levels(*levels), 3)
+            monoid_module._fill_level(product, at, np.array(rows).T, 3)
         except (IndexError, RuntimeError) as exc:
             raised.append(exc)
 
@@ -406,20 +402,18 @@ def _fill_small_table(levels):
     return raised
 
 
-@pytest.mark.parametrize("bad", [(0, 0), (0, 1), (1, 0), (1, 2)])
+@pytest.mark.parametrize("bad", [0, 1, 2])
 def test_a_failing_worker_raises_in_the_caller(bad):
     # rows are dealt to workers round robin; a target row past the table
-    # fails in the worker given row bad[1] of level bad[0], the caller's
-    # own work being worker 0
-    levels = [[(0, 0, 0), (1, 0, 0), (2, 0, 0)], [(3, 0, 0), (1, 0, 0), (2, 0, 0)]]
-    levels[bad[0]][bad[1]] = (9, 0, 0)
-    [raised] = _fill_small_table(levels)
+    # fails in worker ``bad``, the caller's own work being worker 0
+    rows = [(1, 0, 0), (2, 0, 0), (3, 0, 0)]
+    rows[bad] = (9, 0, 0)
+    [raised] = _fill_small_table(rows)
     assert isinstance(raised, IndexError)
 
 
-def test_a_level_waits_for_the_level_before():
-    # the caller's level-1 row is slow to fill, and worker 1's level-2 row
-    # gathers from it: without the barrier it would read the unfilled row
+def test_a_level_is_filled_when_the_helper_returns():
+    # worker 1's row is slow to fill; the helper must wait for it
     class SlowLetterOne(list):
         def __getitem__(self, h):
             if h == 1:
@@ -429,12 +423,12 @@ def test_a_level_waits_for_the_level_before():
     product = np.zeros((4, 4), dtype=np.int16)
     product[0] = np.arange(4)
     at = SlowLetterOne([np.arange(4), np.arange(4)[::-1].copy()])
-    levels = _levels([(1, 0, 1)], [(2, 0, 0), (3, 1, 0)])
-    monoid_module._fill_rows(product, at, levels, 2)
-    assert product[1].tolist() == product[3].tolist() == [3, 2, 1, 0]
+    monoid_module._fill_level(product, at, np.array([(1, 0, 0), (2, 0, 1)]).T, 2)
+    assert product[1].tolist() == [0, 1, 2, 3]
+    assert product[2].tolist() == [3, 2, 1, 0]
 
 
-def test_a_thread_that_fails_to_start_releases_the_others(monkeypatch):
+def test_a_thread_that_fails_to_start_is_raised_after_the_others_join(monkeypatch):
     class SecondFails(threading.Thread):
         made = 0
 
@@ -444,23 +438,40 @@ def test_a_thread_that_fails_to_start_releases_the_others(monkeypatch):
                 raise RuntimeError("can't start new thread")
             super().start()
 
-    fake = types.SimpleNamespace(
-        Thread=SecondFails,
-        Barrier=threading.Barrier,
-        BrokenBarrierError=threading.BrokenBarrierError,
-    )
-    monkeypatch.setattr(monoid_module, "threading", fake)
-    levels = [[(0, 0, 0), (1, 0, 0), (2, 0, 0)], [(3, 0, 0)]]
-    [raised] = _fill_small_table(levels)
+    monkeypatch.setattr(monoid_module, "threading", types.SimpleNamespace(Thread=SecondFails))
+    [raised] = _fill_small_table([(1, 0, 0), (2, 0, 0), (3, 0, 0)])
     assert isinstance(raised, RuntimeError)
 
 
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        _CountedThread.started += 1
+        super().start()
+
+
 def test_generate_monoid_joins_every_thread(monkeypatch):
+    plain = generate_monoid(symmetric_inverse_generators(4))
+    # every level of I4 is split, across more workers than cores
     monkeypatch.setattr(monoid_module, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(monoid_module, "_THREADED_CELLS", 1)
+    monkeypatch.setattr(monoid_module.threading, "Thread", _CountedThread)
+    _CountedThread.started = 0
     before = threading.active_count()
     m = generate_monoid(symmetric_inverse_generators(4))
     assert threading.active_count() == before
-    assert m.order == 209
+    assert _CountedThread.started > 0
+    assert m.product.tobytes() == plain.product.tobytes()
+
+
+def test_small_levels_stay_on_the_calling_thread(monkeypatch):
+    # I4's largest level is 60 rows of 209 cells, far below the threshold
+    monkeypatch.setattr(monoid_module, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(monoid_module.threading, "Thread", _CountedThread)
+    _CountedThread.started = 0
+    assert generate_monoid(symmetric_inverse_generators(4)).order == 209
+    assert _CountedThread.started == 0
 
 
 @pytest.mark.parametrize("name", ["i4", "random-5-0", "random-5-4"])
