@@ -1,13 +1,15 @@
 """Readers and writers for the on-disk formats, plus DOT and matrix export.
 
-All structured files are canonical JSON (sorted keys, two-space indent,
-trailing newline), so save/load round-trips are byte-exact.  Undefined
-points of a partial bijection are encoded as null, as are infinite
-distances and missing edge labels.
+Data files (generator, table, presheaf, action and metric files) are
+compact canonical JSON: sorted keys, no whitespace, a trailing newline,
+so save/load round trips are byte-exact.  Reports and ``qi`` output keep
+a two-space indent.  The readers take any JSON layout, so files written
+indented by earlier versions still load.  Undefined points of a partial
+bijection are encoded as null, as are infinite distances and missing
+edge labels.
 """
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +20,18 @@ from .partial_bijection import UNDEFINED, PartialBijection
 
 
 def dumps_canonical(obj):
+    """Reports' layout: sorted keys, two-space indent, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write(path, text):
-    Path(path).write_text(text)
+def _write(path, obj):
+    """Write the data file ``obj`` as compact canonical JSON.
+
+    Without an indent, json's C encoder serves the call.  It writes a
+    float infinity as the invalid token Infinity, so callers pass None.
+    """
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    Path(path).write_text(text + "\n")
 
 
 def _read_json(path):
@@ -90,7 +99,7 @@ def save_generator_file(path, ground_size, generators):
         "ground_size": int(ground_size),
         "generators": [list(g.image) for g in generators],
     }
-    _write(path, dumps_canonical(data))
+    _write(path, data)
 
 
 def load_generator_file(path):
@@ -131,13 +140,9 @@ def save_monoid_table(path, monoid):
     data = {
         "order": monoid.order,
         "identity": monoid.identity,
-        "product": [[int(v) for v in row] for row in monoid.product],
+        "product": monoid.product.tolist(),
     }
-    _write(path, dumps_canonical(data))
-
-
-def load_monoid_table(path):
-    return _table(path, _read_json(path))
+    _write(path, data)
 
 
 def _table(path, data):
@@ -179,28 +184,26 @@ def load_input(path):
 
 
 def save_presheaf(path, presheaf):
-    k = presheaf.base.size
-    fibers = [[] for _ in range(k)]
+    proj = presheaf.proj.tolist()
+    fibers = [[] for _ in range(presheaf.base.size)]
     for u, v, label in presheaf.edges:
-        fibers[int(presheaf.proj[u])].append(
-            [u, v, None if label is None else int(label)]
-        )
+        fibers[proj[u]].append([u, v, None if label is None else int(label)])
     data = {
         "base": {
-            "meet": [[int(v) for v in row] for row in presheaf.base.meet],
+            "meet": presheaf.base.meet.tolist(),
             "labels": None
             if presheaf.base.labels is None
             else [int(e) for e in presheaf.base.labels],
         },
-        "proj": [int(v) for v in presheaf.proj],
-        "restrict": [[int(v) for v in row] for row in presheaf.restrict],
+        "proj": proj,
+        "restrict": presheaf.restrict.tolist(),
         # a null label sorts before an int one on the same (u, v)
         "fibers": [
             sorted(edges, key=lambda e: (e[0], e[1], e[2] is not None, e[2] or 0))
             for edges in fibers
         ],
     }
-    _write(path, dumps_canonical(data))
+    _write(path, data)
 
 
 def load_presheaf(path):
@@ -251,10 +254,10 @@ def save_action(path, action, monoid_path, presheaf_path, gens=None):
     data = {
         "monoid": str(monoid_path),
         "presheaf": str(presheaf_path),
-        "act": [[int(v) for v in row] for row in action.act],
+        "act": action.act.tolist(),
         "gens": None if gens is None else [int(g) for g in gens],
     }
-    _write(path, dumps_canonical(data))
+    _write(path, data)
 
 
 def load_action(path, data):
@@ -286,32 +289,16 @@ def load_action(path, data):
 
 
 def metric_to_json(metric):
-    rows = [
-        [None if math.isinf(v) else int(v) for v in row]
-        for row in metric.table
-    ]
-    return {"size": metric.size, "rows": rows}
+    """The metric file's object, with null for each infinite distance."""
+    table = metric.table
+    finite = np.isfinite(table)
+    rows = np.where(finite, table, 0).astype(np.int64).astype(object)
+    rows[~finite] = None
+    return {"size": metric.size, "rows": rows.tolist()}
 
 
 def save_metric(path, metric):
-    _write(path, dumps_canonical(metric_to_json(metric)))
-
-
-def load_metric(path):
-    from .extmetric import INFINITE, ExtendedMetric
-
-    data = _read_json(path)
-    size = _require(data, "size", int, path)
-    rows = _require(data, "rows", list, path)
-    if len(rows) != size:
-        raise ParseError(f"{path}: expected {size} rows", field="rows")
-    table = np.full((size, size), INFINITE, dtype=np.float64)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v is not None:
-                table[i, j] = v
-    table.setflags(write=False)
-    return ExtendedMetric(table)
+    _write(path, metric_to_json(metric))
 
 
 def metric_to_text(metric, labels=None, components=None):

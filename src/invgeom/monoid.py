@@ -331,19 +331,33 @@ def image_codes(images):
     return images @ powers
 
 
+def _search(sorted_codes, codes):
+    """(positions of ``codes`` in ``sorted_codes``, mask of those not there)."""
+    rows = np.searchsorted(sorted_codes, codes)
+    # a code past the last one finds the last one, which differs from it
+    return rows, sorted_codes[np.minimum(rows, len(sorted_codes) - 1)] != codes
+
+
 def lookup(sorted_codes, codes):
     """Positions of ``codes`` in ``sorted_codes``, each checked exactly.
 
     A position must lie inside ``sorted_codes`` and hold the code; the
     first code that is not there raises ValidationError.
     """
-    rows = np.searchsorted(sorted_codes, codes)
-    # a code past the last one finds the last one, which differs from it
-    missing = sorted_codes[np.minimum(rows, len(sorted_codes) - 1)] != codes
+    rows, missing = _search(sorted_codes, codes)
     if missing.any():
         i = int(np.argmax(missing))
         raise ValidationError(f"image code {codes[i]} is not an element", witness=(i,))
     return rows
+
+
+def _first_of_each(codes):
+    """(distinct codes in order, the position of each one's first occurrence)."""
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first], order[first]
 
 
 def generate_monoid(gens, element_cap=100_000, ground_size=None):
@@ -371,24 +385,28 @@ def generate_monoid(gens, element_cap=100_000, ground_size=None):
     # Images store undefined as n and end in n -> n, so letters[j][x] is
     # letter j times x.
     seeds = image_rows([PartialBijection.identity(n), *gens, *map(invert, gens)], n)
-    letters = np.pad(np.unique(seeds, axis=0), ((0, 0), (0, 1)), constant_values=n)
+    _, first = _first_of_each(image_codes(seeds))
+    letters = np.pad(seeds[first], ((0, 0), (0, 1)), constant_values=n)
     letters = letters.astype(np.min_scalar_type(n))
     # Breadth-first closure of the identity, the least row letters[0], under
     # right multiplication; a new element is parent * letter, first pair
-    # found, and bounds holds where each level starts.
+    # found, and bounds holds where each level starts.  sorted_codes holds
+    # the codes of images so far, in order.
     images, parent, letter, bounds = letters[:1, :n], [-1], [-1], [0]
+    sorted_codes = image_codes(images)
     while bounds[-1] < len(images):
         frontier = np.pad(images[bounds[-1]:], ((0, 0), (0, 1)), constant_values=n)
         cand = frontier[:, letters[:, :n]].reshape(-1, n)
-        codes, first = np.unique(image_codes(cand), return_index=True)
-        first = first[~np.isin(codes, image_codes(images))]
+        codes, first = _first_of_each(image_codes(cand))
+        _, new = _search(sorted_codes, codes)
+        codes, first = codes[new], first[new]
         if len(images) + len(first) > element_cap:
             raise CapacityError(f"closure exceeded element cap {element_cap}")
         parent = np.append(parent, bounds[-1] + first // len(letters))
         letter = np.append(letter, first % len(letters))
         bounds.append(len(images))
         images = np.concatenate([images, cand[first]])
-    sorted_codes = np.sort(image_codes(images))
+        sorted_codes = np.sort(np.concatenate([sorted_codes, codes]))
 
     def index(imgs):
         return lookup(sorted_codes, image_codes(imgs))

@@ -1,7 +1,11 @@
 """Shared fixtures and independent oracles."""
 
+import json
+import math
 from itertools import combinations, permutations
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from invgeom import PartialBijection, cayley_self_action, symmetric_inverse_monoid
@@ -23,6 +27,14 @@ def enumerate_partial_bijections(n):
                         img[x] = y
                     out.add(tuple(img))
     return {PartialBijection(n, img) for img in out}
+
+
+def read_metric_file(path):
+    """The distance table of a metric file, each null read as infinity."""
+    data = json.loads(Path(path).read_text())
+    size = data["size"]
+    rows = [[math.inf if v is None else v for v in row] for row in data["rows"]]
+    return np.array(rows, dtype=np.float64).reshape(size, size)
 
 
 def transposition_indices(monoid, n):

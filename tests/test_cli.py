@@ -11,6 +11,8 @@ import invgeom
 from invgeom import fileio
 from invgeom.cli import main
 
+from conftest import read_metric_file
+
 
 @pytest.fixture(scope="module")
 def i2_files(tmp_path_factory):
@@ -44,8 +46,8 @@ def test_gen_empty_generator_list(tmp_path):
     src.write_text(json.dumps({"ground_size": 1, "generators": []}))
     out = tmp_path / "trivial.json"
     assert main(["gen", "--input", str(src), "--out", str(out)]) == 0
-    monoid = fileio.load_monoid_table(out)
-    assert monoid.order == 1
+    monoid, gens, action = fileio.load_input(out)
+    assert monoid.order == 1 and gens is None and action is None
 
 
 def test_verify_fixture_passes(i2_files, tmp_path, capsys):
@@ -172,8 +174,8 @@ def test_metric_subcommand(i2_files, tmp_path):
         ]
     )
     assert code == 0
-    loaded = fileio.load_metric(f"{base}.json")
-    assert loaded.size == 7
+    table = read_metric_file(f"{base}.json")
+    assert table.shape == (7, 7)
     assert (tmp_path / "dm.txt").exists()
 
 
@@ -256,21 +258,27 @@ def test_verify_rejects_out_of_range_act_entry(i2_files, tmp_path, capsys):
 
 
 def test_verify_leaves_numpy_ma_unimported(tmp_path):
-    # numpy.ma costs some 15 ms of imports per op, and verify needs none of it
+    # numpy.ma costs some 15 ms of imports per op; neither verify nor a
+    # build from generators needs any of it
     assert main(["examples", "emit", "i3", "--out-dir", str(tmp_path)]) == 0
-    action = str(tmp_path / "i3.action.json")
-    code = (
-        "import sys\n"
-        "from invgeom.cli import main\n"
-        f"assert main(['verify', '--input', {action!r}]) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
-    )
+    commands = [
+        ["verify", "--input", str(tmp_path / "i3.action.json")],
+        ["gen", "--input", str(tmp_path / "i3.gens.json"), "--out", str(tmp_path / "t")],
+    ]
     src = str(Path(invgeom.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.splitlines()[-1] == "False"
+    for args in commands:
+        code = (
+            "import sys\n"
+            "from invgeom.cli import main\n"
+            f"assert main({args!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "False", args[0]
 
 
 # The names the package exported when its __init__ imported every layer.

@@ -13,7 +13,10 @@ from invgeom import (
 )
 from invgeom import fileio
 from invgeom.cayley import word_successors
+from invgeom.extmetric import ExtendedMetric
 from invgeom.presheaf import MetricPresheaf, Semilattice
+
+from conftest import read_metric_file
 
 
 def test_generator_file_round_trip(tmp_path):
@@ -35,7 +38,8 @@ def test_generator_file_round_trip(tmp_path):
 def test_monoid_table_round_trip(tmp_path, i2):
     path = tmp_path / "m.json"
     fileio.save_monoid_table(path, i2)
-    loaded = fileio.load_monoid_table(path)
+    loaded, gens, action = fileio.load_input(path)
+    assert gens is None and action is None
     assert np.array_equal(loaded.product, i2.product)
     assert loaded.identity == i2.identity
     fileio.save_monoid_table(tmp_path / "again.json", loaded)
@@ -77,26 +81,65 @@ def test_presheaf_with_a_null_and_an_int_label_on_one_pair_round_trips(tmp_path)
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def save_i2_action(out, i2, i2_swap, i2_action):
+    """The I2 action's monoid, presheaf and action files in ``out``."""
+    fileio.save_monoid_table(out / "m.json", i2)
+    fileio.save_presheaf(out / "p.json", i2_action.presheaf)
+    fileio.save_action(out / "a.json", i2_action, "m.json", "p.json", gens=(i2_swap,))
+    return [out / name for name in ("m.json", "p.json", "a.json")]
+
+
 def test_action_round_trip(tmp_path, i2, i2_swap, i2_action):
-    fileio.save_monoid_table(tmp_path / "m.json", i2)
-    fileio.save_presheaf(tmp_path / "p.json", i2_action.presheaf)
-    fileio.save_action(
-        tmp_path / "a.json", i2_action, "m.json", "p.json", gens=(i2_swap,)
-    )
-    _, gens, loaded = fileio.load_input(tmp_path / "a.json")
+    paths = save_i2_action(tmp_path, i2, i2_swap, i2_action)
+    monoid, gens, loaded = fileio.load_input(tmp_path / "a.json")
     assert gens == (i2_swap,)
     assert np.array_equal(loaded.act, i2_action.act)
     assert loaded.monoid.order == i2.order
+    again = tmp_path / "again"
+    again.mkdir()
+    copies = save_i2_action(again, monoid, gens[0], loaded)
+    assert [p.read_bytes() for p in copies] == [p.read_bytes() for p in paths]
 
 
 def test_metric_round_trip(tmp_path, i2, i2_swap):
     cm = cayley_metric(i2, [i2_swap])
     path = tmp_path / "d.json"
     fileio.save_metric(path, cm.metric)
-    loaded = fileio.load_metric(path)
-    assert np.array_equal(loaded.table, cm.metric.table)
+    table = read_metric_file(path)
+    assert np.array_equal(table, cm.metric.table)
     raw = json.loads(path.read_text())
     assert any(None in row for row in raw["rows"])  # infinities as null
+    assert "Infinity" not in path.read_text()
+    fileio.save_metric(tmp_path / "again.json", ExtendedMetric(table))
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_data_files_are_compact_canonical_json(tmp_path, i2, i2_swap, i2_action):
+    paths = save_i2_action(tmp_path, i2, i2_swap, i2_action)
+    fileio.save_generator_file(tmp_path / "g.json", 2, list(i2.elements))
+    fileio.save_metric(tmp_path / "d.json", cayley_metric(i2, [i2_swap]).metric)
+    for path in [*paths, tmp_path / "g.json", tmp_path / "d.json"]:
+        text = path.read_text()
+        compact = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        assert text == compact + "\n", path.name
+        assert text.count("\n") == 1 and " " not in text
+
+
+def test_indented_data_files_still_load(tmp_path, i2, i2_swap, i2_action):
+    paths = save_i2_action(tmp_path, i2, i2_swap, i2_action)
+    fileio.save_generator_file(tmp_path / "g.json", 2, list(i2.elements))
+    # the two-space layout earlier versions wrote data files in
+    for path in [*paths, tmp_path / "g.json"]:
+        path.write_text(fileio.dumps_canonical(json.loads(path.read_text())))
+    monoid, gens, action = fileio.load_input(tmp_path / "a.json")
+    assert np.array_equal(monoid.product, i2.product)
+    assert monoid.identity == i2.identity and gens == (i2_swap,)
+    assert np.array_equal(action.act, i2_action.act)
+    assert np.array_equal(action.presheaf.restrict, i2_action.presheaf.restrict)
+    assert set(action.presheaf.edges) == set(i2_action.presheaf.edges)
+    table, _, _ = fileio.load_input(tmp_path / "m.json")
+    assert np.array_equal(table.product, i2.product)
+    assert fileio.load_generator_file(tmp_path / "g.json") == (2, list(i2.elements))
 
 
 def test_metric_text_grid(i2, i2_swap):
