@@ -235,11 +235,10 @@ def cmd_examples(args):
             gens_path, n, families.symmetric_inverse_generators(n)
         )
         written.append(gens_path)
-    presheaf = cayley_presheaf(monoid, built.quasi_generators)
-    presheaf_path = out_dir / f"{args.name}.presheaf.json"
-    fileio.save_presheaf(presheaf_path, presheaf)
-    written.append(presheaf_path)
     action = cayley_self_action(monoid, built.quasi_generators)
+    presheaf_path = out_dir / f"{args.name}.presheaf.json"
+    fileio.save_presheaf(presheaf_path, action.presheaf)
+    written.append(presheaf_path)
     action_path = out_dir / f"{args.name}.action.json"
     fileio.save_action(
         action_path,

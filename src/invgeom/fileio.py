@@ -7,6 +7,19 @@ a two-space indent.  The readers take any JSON layout, so files written
 indented by earlier versions still load.  Undefined points of a partial
 bijection are encoded as null, as are infinite distances and missing
 edge labels.
+
+The three tables that grow with the monoid, a table file's ``product``,
+a presheaf file's ``restrict`` and an action file's ``act``, are written
+to ``.npy`` sidecars, and the JSON field holds the sidecar's file name:
+the JSON name without ``.json``, then ``.<field>.npy``, in the same
+directory and resolved relative to it (``w.monoid.json`` gets
+``w.monoid.product.npy``).  A sidecar is int16 when the field's bound
+(the order for ``product``, the number of points otherwise) is at most
+2**15 and int32 above, so its bytes depend only on the table's values.
+The reader loads it without pickles and checks its integer dtype, its
+shape and its range with array passes.  A field holding an inline list
+of lists, as earlier versions wrote, still loads through the per-entry
+check, the only one that can tell a JSON ``true`` from 1.
 """
 
 import json
@@ -82,6 +95,56 @@ def _check_index_table(rows, shape, bound, path, field):
         )
 
 
+def _save_index_table(path, field, table, bound):
+    """Write ``table`` to the ``field`` sidecar of ``path``; return its name."""
+    name = f"{Path(path).name.removesuffix('.json')}.{field}.npy"
+    dtype = np.int16 if bound <= 2**15 else np.int32
+    with open(Path(path).parent / name, "wb") as f:
+        np.save(f, np.ascontiguousarray(table, dtype=dtype), allow_pickle=False)
+    return name
+
+
+def _index_table(value, shape, bound, path, field):
+    """The int32 ``shape`` table of ints in [0, bound) that ``value`` holds.
+
+    ``value`` is an inline list of lists or the name of a sidecar next to
+    ``path``; anything else in the file or the sidecar is a ParseError.
+    """
+    if isinstance(value, list):
+        _check_index_table(value, shape, bound, path, field)
+        return np.asarray(value, dtype=np.int32)
+    sidecar = Path(path).parent / value
+    try:
+        table = np.load(sidecar, allow_pickle=False)
+    except (OSError, ValueError, EOFError, MemoryError) as exc:
+        # MemoryError: a header can claim a shape too large to allocate
+        raise ParseError(
+            f"{sidecar}: {field} is not a readable .npy table ({exc})", field=field
+        ) from exc
+    if not isinstance(table, np.ndarray):
+        table.close()
+        raise ParseError(f"{sidecar}: {field} is not a .npy table", field=field)
+    if table.dtype.kind not in "iu":
+        raise ParseError(
+            f"{sidecar}: {field} has dtype {table.dtype}, not an integer one",
+            field=field,
+        )
+    if table.shape != shape:
+        raise ParseError(
+            f"{sidecar}: {field} is not an {shape[0]}x{shape[1]} table "
+            f"(shape {table.shape})",
+            field=field,
+        )
+    if table.size and (table.min() < 0 or table.max() >= bound):
+        i, j = np.argwhere((table < 0) | (table >= bound))[0].tolist()
+        raise ParseError(
+            f"{sidecar}: {field}[{i}][{j}] = {table[i, j]} is not an index below "
+            f"{bound}",
+            field=field,
+        )
+    return table.astype(np.int32, copy=False)
+
+
 def _check_index_list(values, bound, path, field):
     """ParseError unless ``values`` is a list of ints in [0, bound)."""
     if not isinstance(values, list):
@@ -140,7 +203,7 @@ def save_monoid_table(path, monoid):
     data = {
         "order": monoid.order,
         "identity": monoid.identity,
-        "product": monoid.product.tolist(),
+        "product": _save_index_table(path, "product", monoid.product, monoid.order),
     }
     _write(path, data)
 
@@ -150,9 +213,10 @@ def _table(path, data):
     identity = _require(data, "identity", int, path)
     if not _is_index(identity, order):
         raise ParseError(f"{path}: identity {identity} out of range", field="identity")
-    product = _require(data, "product", list, path)
-    _check_index_table(product, (order, order), order, path, "product")
-    return from_table(product, identity)
+    product = _require(data, "product", (list, str), path)
+    return from_table(
+        _index_table(product, (order, order), order, path, "product"), identity
+    )
 
 
 def load_monoid_any(path):
@@ -196,7 +260,9 @@ def save_presheaf(path, presheaf):
             else [int(e) for e in presheaf.base.labels],
         },
         "proj": proj,
-        "restrict": presheaf.restrict.tolist(),
+        "restrict": _save_index_table(
+            path, "restrict", presheaf.restrict, presheaf.num_points
+        ),
         # a null label sorts before an int one on the same (u, v)
         "fibers": [
             sorted(edges, key=lambda e: (e[0], e[1], e[2] is not None, e[2] or 0))
@@ -214,7 +280,7 @@ def load_presheaf(path):
     meet = _require(base, "meet", list, f"{path}:base")
     labels = base.get("labels")
     proj = _require(data, "proj", list, path)
-    restrict = _require(data, "restrict", list, path)
+    restrict = _require(data, "restrict", (list, str), path)
     fibers = _require(data, "fibers", list, path)
     k, m = len(meet), len(proj)
     _check_index_table(meet, (k, k), k, path, "meet")
@@ -226,7 +292,7 @@ def load_presheaf(path):
             f"{path}: labels is not a list of {k} element indices", field="labels"
         )
     _check_index_list(proj, k, path, "proj")
-    _check_index_table(restrict, (m, k), m, path, "restrict")
+    restrict = _index_table(restrict, (m, k), m, path, "restrict")
     edges = []
     for i, fiber_edges in enumerate(fibers):
         if not isinstance(fiber_edges, list):
@@ -254,7 +320,7 @@ def save_action(path, action, monoid_path, presheaf_path, gens=None):
     data = {
         "monoid": str(monoid_path),
         "presheaf": str(presheaf_path),
-        "act": action.act.tolist(),
+        "act": _save_index_table(path, "act", action.act, action.presheaf.num_points),
         "gens": None if gens is None else [int(g) for g in gens],
     }
     _write(path, data)
@@ -266,7 +332,7 @@ def load_action(path, data):
 
     monoid_rel = _require(data, "monoid", str, path)
     presheaf_rel = _require(data, "presheaf", str, path)
-    act = _require(data, "act", list, path)
+    act = _require(data, "act", (list, str), path)
     gens = data.get("gens")
     root = Path(path).parent
     monoid, _ = load_monoid_any(root / monoid_rel)
@@ -277,14 +343,10 @@ def load_action(path, data):
             field="labels",
         )
     points = presheaf.num_points
-    _check_index_table(act, (points, monoid.order), points, path, "act")
+    act = _index_table(act, (points, monoid.order), points, path, "act")
     if gens is not None:
         _check_index_list(gens, monoid.order, path, "gens")
-    action = EtaleAction(
-        monoid=monoid,
-        presheaf=presheaf,
-        act=np.asarray(act, dtype=np.int32),
-    )
+    action = EtaleAction(monoid=monoid, presheaf=presheaf, act=act)
     return action, None if gens is None else tuple(gens)
 
 

@@ -64,19 +64,6 @@ class GenerationCertificate:
     representatives: tuple
     factors: tuple
 
-    def chain_products(self, monoid):
-        """Running products v_i = u_i ... u_1 dom(s); v_k is the element.
-
-        Every v_i shares dom(s)'s L-class, so each factor labels an edge
-        of the element's own Schützenberger graph.
-        """
-        v = monoid.dom(self.element)
-        out = [v]
-        for u in self.factors:
-            v = monoid.mul(u, v)
-            out.append(v)
-        return tuple(out)
-
 
 @dataclass(frozen=True, eq=False)
 class GeneratorExtraction:
@@ -111,10 +98,6 @@ class MetricPredicateReport:
             self.properness,
             self.uniform_properness,
         )
-
-    @property
-    def all_passed(self):
-        return all(c.passed for c in self.checks)
 
 
 @dataclass(frozen=True, eq=False)

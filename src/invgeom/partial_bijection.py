@@ -44,14 +44,6 @@ class PartialBijection:
         return cls(n, (UNDEFINED,) * n)
 
     @classmethod
-    def from_pairs(cls, n, pairs):
-        """Build from (source, target) pairs; everything else undefined."""
-        img = [UNDEFINED] * n
-        for x, y in pairs:
-            img[x] = y
-        return cls(n, tuple(img))
-
-    @classmethod
     def partial_identity(cls, n, subset):
         """Identity on ``subset``, undefined elsewhere."""
         keep = set(subset)

@@ -37,6 +37,70 @@ def read_metric_file(path):
     return np.array(rows, dtype=np.float64).reshape(size, size)
 
 
+# The fields data files keep in .npy sidecars, and the two layouts a
+# reader must take: a sidecar's name, or an inline list of lists.
+SIDECAR_FIELDS = ("product", "restrict", "act")
+LAYOUTS = ("inline", "sidecar")
+
+
+def sidecars(path):
+    """The sidecar paths the data file at ``path`` names, by field."""
+    path = Path(path)
+    data = json.loads(path.read_text())
+    return {
+        f: path.parent / data[f]
+        for f in SIDECAR_FIELDS
+        if isinstance(data.get(f), str)
+    }
+
+
+def data_file_bytes(path):
+    """The bytes of the data file at ``path`` and of each sidecar it names."""
+    files = [Path(path), *sidecars(path).values()]
+    return {f.name: f.read_bytes() for f in files}
+
+
+def copy_data_file(path, out_dir):
+    """Copy the data file at ``path`` and its sidecars into ``out_dir``."""
+    for f in [Path(path), *sidecars(path).values()]:
+        (Path(out_dir) / f.name).write_bytes(f.read_bytes())
+
+
+def inline_tables(path):
+    """Rewrite the data file at ``path`` with every sidecar table inline,
+    the layout earlier versions wrote; the sidecars stay on disk."""
+    path = Path(path)
+    data = json.loads(path.read_text())
+    for field, sidecar in sidecars(path).items():
+        data[field] = np.load(sidecar).tolist()
+    path.write_text(json.dumps(data))
+
+
+def set_table_entries(path, field, layout, entries):
+    """Set entries, {(row, column): value}, of a table of a data file.
+
+    With layout "inline" the table goes into the JSON file as a list of
+    lists.  With "sidecar" the sidecar is rewritten in the dtype numpy
+    gives the new values: a float makes a float table, and a bool a bool
+    table, whose other entries then read as booleans too.
+    """
+    path = Path(path)
+    data = json.loads(path.read_text())
+    sidecar = path.parent / data[field]
+    table = np.load(sidecar)
+    if layout == "inline":
+        rows = table.tolist()
+        for (i, j), v in entries.items():
+            rows[i][j] = v
+        data[field] = rows
+        path.write_text(json.dumps(data))
+    else:
+        table = table.astype(np.asarray(list(entries.values())).dtype)
+        for index, v in entries.items():
+            table[index] = v
+        np.save(sidecar, table)
+
+
 def transposition_indices(monoid, n):
     index = {f.image: i for i, f in enumerate(monoid.elements)}
     return tuple(

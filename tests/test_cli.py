@@ -5,13 +5,20 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import invgeom
 from invgeom import fileio
 from invgeom.cli import main
 
-from conftest import read_metric_file
+from conftest import (
+    LAYOUTS,
+    copy_data_file,
+    data_file_bytes,
+    read_metric_file,
+    set_table_entries,
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +43,9 @@ def test_examples_emit_writes_loadable_files(i2_files):
 
 
 def test_gen_from_generator_file(i2_files, tmp_path):
-    out = tmp_path / "rebuilt.json"
+    out = tmp_path / "i2.monoid.json"
     assert main(["gen", "--input", str(i2_files / "i2.gens.json"), "--out", str(out)]) == 0
-    assert out.read_bytes() == (i2_files / "i2.monoid.json").read_bytes()
+    assert data_file_bytes(out) == data_file_bytes(i2_files / "i2.monoid.json")
 
 
 def test_gen_empty_generator_list(tmp_path):
@@ -85,19 +92,20 @@ def test_verify_reports_are_deterministic(i2_files, tmp_path):
 
 
 def test_verify_fails_on_tampered_action(i2_files, tmp_path, capsys):
-    data = json.loads((i2_files / "i2.action.json").read_text())
-    # break the action law somewhere harmless-looking
-    data["act"][0][2], data["act"][0][0] = data["act"][0][0], data["act"][0][2]
-    bad = tmp_path / "bad.action.json"
-    bad.write_text(json.dumps(data))
-    # point the relative references back at the fixture directory
-    for name in ("i2.monoid.json", "i2.presheaf.json"):
-        (tmp_path / name).write_bytes((i2_files / name).read_bytes())
-    report = tmp_path / "rep"
-    code = main(["verify", "--input", str(bad), "--out", str(report)])
-    assert code == 1
-    written = json.loads((tmp_path / "rep.json").read_text())
-    assert written["passed"] is False
+    _, _, action = fileio.load_input(i2_files / "i2.action.json")
+    a, b = int(action.act[0, 0]), int(action.act[0, 2])
+    for layout in LAYOUTS:
+        out = tmp_path / layout
+        out.mkdir()
+        _copy_i2(i2_files, out, "i2.monoid.json", "i2.presheaf.json", "i2.action.json")
+        # break the action law somewhere harmless-looking
+        bad = out / "i2.action.json"
+        set_table_entries(bad, "act", layout, {(0, 2): a, (0, 0): b})
+        report = out / "rep"
+        code = main(["verify", "--input", str(bad), "--out", str(report)])
+        assert code == 1, layout
+        written = json.loads((out / "rep.json").read_text())
+        assert written["passed"] is False
 
 
 def test_qi_subcommand(i2_files, capsys):
@@ -248,13 +256,14 @@ def test_verify_rejects_basepoint_outside_identity_fiber(i2_files, capsys):
 
 
 def test_verify_rejects_out_of_range_act_entry(i2_files, tmp_path, capsys):
-    for name in ("i2.monoid.json", "i2.presheaf.json"):
-        (tmp_path / name).write_bytes((i2_files / name).read_bytes())
-    data = json.loads((i2_files / "i2.action.json").read_text())
-    data["act"][0][0] = 99999
-    (tmp_path / "i2.action.json").write_text(json.dumps(data))
-    assert main(["verify", "--input", str(tmp_path / "i2.action.json")]) == 2
-    assert "act[0][0]" in capsys.readouterr().err
+    for layout in LAYOUTS:
+        out = tmp_path / layout
+        out.mkdir()
+        _copy_i2(i2_files, out, "i2.monoid.json", "i2.presheaf.json", "i2.action.json")
+        set_table_entries(out / "i2.action.json", "act", layout, {(0, 0): 99999})
+        assert main(["verify", "--input", str(out / "i2.action.json")]) == 2
+        err = capsys.readouterr().err
+        assert "act[0][0] = 99999" in err and "Traceback" not in err, layout
 
 
 def test_verify_leaves_numpy_ma_unimported(tmp_path):
@@ -337,7 +346,7 @@ def test_building_a_monoid_loads_only_the_algebra_layer(i2_files):
 
 def _copy_i2(i2_files, tmp_path, *names):
     for name in names:
-        (tmp_path / name).write_bytes((i2_files / name).read_bytes())
+        copy_data_file(i2_files / name, tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -355,9 +364,20 @@ def test_every_input_file_is_parsed_once(
     args = [command, "--input", str(i2_files / name)]
     if command == "gen":
         args += ["--out", str(tmp_path / "m.json")]
-    with mock.patch("json.loads", wraps=json.loads) as loads:
+    with mock.patch("json.loads", wraps=json.loads) as loads, mock.patch(
+        "numpy.load", wraps=np.load
+    ) as load_npy:
         assert main(args) == 0
     assert loads.call_count == calls
+    # and each sidecar of the files read, once
+    read = sorted(Path(c.args[0]).name for c in load_npy.call_args_list)
+    assert read == {
+        "i2.action.json": [
+            "i2.action.act.npy", "i2.monoid.product.npy", "i2.presheaf.restrict.npy"
+        ],
+        "i2.gens.json": [],
+        "i2.monoid.json": ["i2.monoid.product.npy"],
+    }[name]
 
 
 @pytest.mark.parametrize("text", ["5", "null", "true", '"react"', "[1]"])
@@ -382,7 +402,7 @@ def test_top_level_that_is_not_an_object_exits_2(
 
 @pytest.mark.parametrize("change", ["out-of-range", "null", "reversed"])
 def test_presheaf_labels_must_be_the_idempotents(i2_files, tmp_path, capsys, change):
-    _copy_i2(i2_files, tmp_path, "i2.monoid.json", "i2.action.json")
+    _copy_i2(i2_files, tmp_path, "i2.monoid.json", "i2.presheaf.json", "i2.action.json")
     data = json.loads((i2_files / "i2.presheaf.json").read_text())
     labels = data["base"]["labels"]
     data["base"]["labels"] = {

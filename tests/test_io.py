@@ -9,14 +9,24 @@ from invgeom import (
     cayley_metric,
     cayley_presheaf,
     cayley_self_action,
+    from_table,
     rips_graph,
 )
 from invgeom import fileio
+from invgeom.action import EtaleAction
 from invgeom.cayley import word_successors
+from invgeom.cli import main
 from invgeom.extmetric import ExtendedMetric
 from invgeom.presheaf import MetricPresheaf, Semilattice
 
-from conftest import read_metric_file
+from conftest import (
+    LAYOUTS,
+    data_file_bytes,
+    inline_tables,
+    read_metric_file,
+    set_table_entries,
+    sidecars,
+)
 
 
 def test_generator_file_round_trip(tmp_path):
@@ -42,8 +52,10 @@ def test_monoid_table_round_trip(tmp_path, i2):
     assert gens is None and action is None
     assert np.array_equal(loaded.product, i2.product)
     assert loaded.identity == i2.identity
-    fileio.save_monoid_table(tmp_path / "again.json", loaded)
-    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    (tmp_path / "again").mkdir()
+    fileio.save_monoid_table(tmp_path / "again" / "m.json", loaded)
+    assert json.loads(path.read_text())["product"] == "m.product.npy"
+    assert data_file_bytes(tmp_path / "again" / "m.json") == data_file_bytes(path)
 
 
 def test_load_monoid_any_from_generators(tmp_path):
@@ -64,8 +76,10 @@ def test_presheaf_round_trip(tmp_path, i3, i3_transpositions):
     assert np.array_equal(loaded.restrict, p.restrict)
     assert np.array_equal(loaded.metric.table, p.metric.table)
     assert set(loaded.edges) == set(p.edges)
-    fileio.save_presheaf(tmp_path / "again.json", loaded)
-    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    (tmp_path / "again").mkdir()
+    fileio.save_presheaf(tmp_path / "again" / "p.json", loaded)
+    assert json.loads(path.read_text())["restrict"] == "p.restrict.npy"
+    assert data_file_bytes(tmp_path / "again" / "p.json") == data_file_bytes(path)
 
 
 def test_presheaf_with_a_null_and_an_int_label_on_one_pair_round_trips(tmp_path):
@@ -77,8 +91,9 @@ def test_presheaf_with_a_null_and_an_int_label_on_one_pair_round_trips(tmp_path)
     assert json.loads(path.read_text())["fibers"] == [[[0, 1, None], [0, 1, 0]]]
     loaded = fileio.load_presheaf(path)
     assert set(loaded.edges) == set(p.edges) == {(0, 1, None), (0, 1, 0)}
-    fileio.save_presheaf(tmp_path / "again.json", loaded)
-    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    (tmp_path / "again").mkdir()
+    fileio.save_presheaf(tmp_path / "again" / "p.json", loaded)
+    assert data_file_bytes(tmp_path / "again" / "p.json") == data_file_bytes(path)
 
 
 def save_i2_action(out, i2, i2_swap, i2_action):
@@ -98,7 +113,7 @@ def test_action_round_trip(tmp_path, i2, i2_swap, i2_action):
     again = tmp_path / "again"
     again.mkdir()
     copies = save_i2_action(again, monoid, gens[0], loaded)
-    assert [p.read_bytes() for p in copies] == [p.read_bytes() for p in paths]
+    assert [data_file_bytes(p) for p in copies] == [data_file_bytes(p) for p in paths]
 
 
 def test_metric_round_trip(tmp_path, i2, i2_swap):
@@ -140,6 +155,16 @@ def test_indented_data_files_still_load(tmp_path, i2, i2_swap, i2_action):
     table, _, _ = fileio.load_input(tmp_path / "m.json")
     assert np.array_equal(table.product, i2.product)
     assert fileio.load_generator_file(tmp_path / "g.json") == (2, list(i2.elements))
+    # the layout before sidecars: every table inline, and no .npy file
+    for path in paths:
+        inline_tables(path)
+    for path in tmp_path.glob("*.npy"):
+        path.unlink()
+    monoid, gens, action = fileio.load_input(tmp_path / "a.json")
+    assert np.array_equal(monoid.product, i2.product) and gens == (i2_swap,)
+    assert action.act.dtype == np.int32
+    assert np.array_equal(action.act, i2_action.act)
+    assert np.array_equal(action.presheaf.restrict, i2_action.presheaf.restrict)
 
 
 def test_metric_text_grid(i2, i2_swap):
@@ -239,19 +264,38 @@ def test_bad_entries_are_parse_errors(tmp_path, data, field):
         fileio.load_monoid_any(path)
     assert err.value.field == field
     assert str(path) in str(err.value) and field in str(err.value)
+    if field != "product":
+        return
+    # the same entry, product[1][0], in a sidecar
+    np.save(tmp_path / "bad.product.npy", np.array(TABLE_FILE["product"]))
+    path.write_text(json.dumps({**TABLE_FILE, "product": "bad.product.npy"}))
+    set_table_entries(path, "product", "sidecar", {(1, 0): data["product"][1][0]})
+    with pytest.raises(ParseError) as err:
+        fileio.load_monoid_any(path)
+    assert err.value.field == field
+    assert "bad.product.npy" in str(err.value) and field in str(err.value)
 
 
 @pytest.mark.parametrize("value", [99999, -1, 0.5, True])
 def test_bad_act_entry_is_a_parse_error(tmp_path, i2, i2_action, value):
-    fileio.save_monoid_table(tmp_path / "m.json", i2)
-    fileio.save_presheaf(tmp_path / "p.json", i2_action.presheaf)
-    fileio.save_action(tmp_path / "a.json", i2_action, "m.json", "p.json")
-    data = json.loads((tmp_path / "a.json").read_text())
-    data["act"][3][4] = value
-    (tmp_path / "a.json").write_text(json.dumps(data))
-    with pytest.raises(ParseError, match=r"act\[3\]\[4\]") as err:
-        fileio.load_input(tmp_path / "a.json")
-    assert err.value.field == "act" and "a.json" in str(err.value)
+    for layout in LAYOUTS:
+        out = tmp_path / layout
+        out.mkdir()
+        fileio.save_monoid_table(out / "m.json", i2)
+        fileio.save_presheaf(out / "p.json", i2_action.presheaf)
+        fileio.save_action(out / "a.json", i2_action, "m.json", "p.json")
+        set_table_entries(out / "a.json", "act", layout, {(3, 4): value})
+        # a sidecar of floats or booleans fails on its dtype as a whole
+        where, name = {
+            "inline": (r"act\[3\]\[4\] = ", "a.json"),
+            "sidecar": (
+                r"act\[3\]\[4\] = " if type(value) is int else "act has dtype",
+                "a.act.npy",
+            ),
+        }[layout]
+        with pytest.raises(ParseError, match=where) as err:
+            fileio.load_input(out / "a.json")
+        assert err.value.field == "act" and name in str(err.value), layout
 
 
 @pytest.mark.parametrize(
@@ -274,6 +318,15 @@ def test_bad_act_entry_is_a_parse_error(tmp_path, i2, i2_action, value):
 )
 def test_bad_presheaf_entry_is_a_parse_error(tmp_path, i2_action, path, value, field):
     fileio.save_presheaf(tmp_path / "p.json", i2_action.presheaf)
+    if field == "restrict":
+        for layout in LAYOUTS:
+            fileio.save_presheaf(tmp_path / "p.json", i2_action.presheaf)
+            set_table_entries(tmp_path / "p.json", field, layout, {tuple(path[1:]): value})
+            name = {"inline": "p.json", "sidecar": "p.restrict.npy"}[layout]
+            with pytest.raises(ParseError, match=r"restrict\[0\]\[0\] = ") as err:
+                fileio.load_presheaf(tmp_path / "p.json")
+            assert err.value.field == field and name in str(err.value), layout
+        return
     data = _with(json.loads((tmp_path / "p.json").read_text()), path, value)
     (tmp_path / "p.json").write_text(json.dumps(data))
     with pytest.raises(ParseError) as err:
@@ -292,3 +345,89 @@ def test_bad_action_gens_are_a_parse_error(tmp_path, i2, i2_action, gens):
     with pytest.raises(ParseError) as err:
         fileio.load_input(tmp_path / "a.json")
     assert err.value.field == "gens" and "a.json" in str(err.value)
+
+
+def _with_first_entry(table, value):
+    table = table.astype(np.int64)
+    table[0, 0] = value
+    return table
+
+
+# How each case breaks a sidecar (None: the case writes its own bytes),
+# and what the reader must say.  I2's order and its self-action's number
+# of points are both 7, the bound of all three tables; restrict has a
+# column per idempotent.
+BAD_SIDECARS = {
+    "bool": (lambda t: t.astype(bool), "has dtype bool, not an integer one"),
+    "float": (lambda t: t.astype(np.float64), "has dtype float64, not an integer one"),
+    "object": (lambda t: t.astype(object), "is not a readable .npy table"),
+    "ndim": (lambda t: t.ravel(), r"is not an 7x\d table \(shape \(\d+,\)\)"),
+    "shape": (lambda t: t[:-1], r"is not an 7x(\d) table \(shape \(6, \1\)\)"),
+    "minus-one": (
+        lambda t: _with_first_entry(t, -1), r"\[0\]\[0\] = -1 is not an index below 7"
+    ),
+    "bound": (
+        lambda t: _with_first_entry(t, 7), r"\[0\]\[0\] = 7 is not an index below 7"
+    ),
+    "missing": (None, "is not a readable .npy table"),
+    "truncated": (None, "is not a readable .npy table"),
+    "npz": (None, "is not a .npy table"),
+    "huge-shape": (None, "is not a readable .npy table"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SIDECARS))
+@pytest.mark.parametrize("field", ["product", "restrict", "act"])
+def test_bad_sidecar_is_a_parse_error(
+    tmp_path, capsys, i2, i2_swap, i2_action, field, case
+):
+    assert i2.order == i2_action.presheaf.num_points == 7
+    save_i2_action(tmp_path, i2, i2_swap, i2_action)
+    owner = {"product": "m.json", "restrict": "p.json", "act": "a.json"}[field]
+    sidecar = sidecars(tmp_path / owner)[field]
+    table = np.load(sidecar)
+    breaks, message = BAD_SIDECARS[case]
+    if breaks is not None:
+        np.save(sidecar, breaks(table), allow_pickle=case == "object")
+    elif case == "missing":
+        sidecar.unlink()
+    elif case == "truncated":
+        sidecar.write_bytes(sidecar.read_bytes()[:-3])
+    elif case == "huge-shape":
+        # a header whose shape no machine can allocate, and no data
+        header = {"descr": "<i2", "fortran_order": False, "shape": (10**6, 10**6)}
+        with open(sidecar, "wb") as f:
+            np.lib.format.write_array_header_1_0(f, header)
+    else:
+        with open(sidecar, "wb") as f:
+            np.savez(f, table=table)
+    with pytest.raises(ParseError, match=f"{field}.*{message}") as err:
+        fileio.load_input(tmp_path / "a.json")
+    assert err.value.field == field and str(sidecar) in str(err.value)
+    assert main(["verify", "--input", str(tmp_path / "a.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"{sidecar}: {field}" in err
+
+
+def test_sidecar_bytes_depend_only_on_values(tmp_path, i2, i2_action):
+    # generate_monoid's table is int16 and from_table's int32
+    tables = [i2, from_table(i2.product, i2.identity)]
+    assert [m.product.dtype for m in tables] == [np.int16, np.int32]
+    acts = [i2_action.act.astype(dtype) for dtype in (np.int16, np.int32, np.int64)]
+    acts.append(np.asfortranarray(acts[-1]))  # and in column-major order
+    written = []
+    for k, (monoid, act) in enumerate(zip(tables * 2, acts)):
+        out = tmp_path / str(k)
+        out.mkdir()
+        fileio.save_monoid_table(out / "m.json", monoid)
+        action = EtaleAction(monoid=i2, presheaf=i2_action.presheaf, act=act)
+        fileio.save_action(out / "a.json", action, "m.json", "p.json")
+        written.append([(out / n).read_bytes() for n in ("m.product.npy", "a.act.npy")])
+    assert written[0] == written[1] == written[2] == written[3]
+    assert np.load(tmp_path / "0" / "a.act.npy").dtype == np.int16
+    # int16 holds every index below a bound of 2**15, and int32 the rest
+    for bound, dtype in ((2**15, np.int16), (2**15 + 1, np.int32)):
+        name = fileio._save_index_table(tmp_path / "x.json", "act", [[bound - 1]], bound)
+        assert name == "x.act.npy"
+        assert np.load(tmp_path / name).dtype == dtype
+        assert np.load(tmp_path / name).tolist() == [[bound - 1]]
