@@ -74,6 +74,14 @@ def validate_action(a):
     - the law: (x.su).t = x.(s(ut)) = ((x.s).u).t;
     - fiber preservation and 1-Lipschitz, given the law: x.su = (x.s).u,
       and x.s, y.s share a fiber.
+
+    So every theta_s: x -> x.s is an isometry of X.ss^-1 onto X.s^-1 s,
+    and ``check_theta_isometry`` cannot fail once these pass.  For x in
+    X.ss^-1, x = x.ss^-1, so (x.s).s^-1 = x, and x.s = (x.s).s^-1 s is
+    in X.s^-1 s.  So theta_{s^-1} theta_s is the identity on X.ss^-1, and
+    likewise theta_s theta_{s^-1} on X.s^-1 s.  Both are 1-Lipschitz, so
+    both are isometries.  Infinite distances stay infinite: by fiber
+    preservation, theta_{s^-1} maps one fiber into one fiber.
     """
     out = []
     mon, p, act = a.monoid, a.presheaf, a.act

@@ -71,6 +71,14 @@ def cayley_metric(monoid, gens):
     The generating set is symmetrized first.  Distances across L-classes
     are infinite; the finite components are checked against the L-class
     partition.
+
+    On L-pairs this is also the word metric of unrestricted left
+    multiplication, with or without the idempotent letters, which is
+    what ``verify.check_word_metric_agreement`` compares.  Left
+    multiplication never raises dom: dom(g u) = u^-1 (g^-1 g) u <= dom(u).
+    So a word from t to an element of L_t never leaves L_t.  And an
+    idempotent letter e with e t L t fixes t: e t <= t with the same
+    dom, so e t = t dom(e t) = t.
     """
     sym = symmetric_quasi_generators(monoid, gens)
     metric = all_pairs_bfs(word_successors(monoid, sym, within_class=True))

@@ -37,16 +37,6 @@ class QiReport:
     coarse_radius: object          # int, or math.inf if not coarsely onto
     order_preserving: bool | None = None
 
-    def bounds_hold(self, mapped, da, db):
-        """Check (1/L) d - C <= d' <= L d + C on every finite pair, exactly."""
-        mask = np.isfinite(da)
-        a = da[mask].astype(np.int64)
-        b = db[np.ix_(mapped, mapped)][mask].astype(np.int64)
-        for x, y in zip(a.tolist(), b.tolist()):
-            if not (Fraction(x) / self.mult - self.add <= y <= self.mult * x + self.add):
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class GenerationCertificate:

@@ -265,6 +265,12 @@ def build_from_tables(product, identity, elements=None, labels=None, inverse=Non
     A candidate ``inverse`` replaces the search for inverses: with commuting
     idempotents it proves them unique (Howie, Fundamentals of Semigroup
     Theory, Thm 5.1.1: a regular monoid with commuting idempotents is inverse).
+
+    Every accepted table pairs the edges of its L-classes, which is what
+    ``verify.check_edge_pairing`` sweeps.  Say x t L t, and let e = x^-1 x.
+    Then t^-1 e t = (x t)^-1 x t = t^-1 t (Howie, Prop 5.1.2), so
+    t = t t^-1 e t = e t t^-1 t = e t, idempotents commuting; and so
+    x^-1 (x t) = e t = t.
     """
     product = np.asarray(product)
     n = product.shape[0]
@@ -307,7 +313,7 @@ def build_from_tables(product, identity, elements=None, labels=None, inverse=Non
 
 def from_table(product, identity):
     """Monoid from an explicit product table with opaque element indices."""
-    return build_from_tables(np.array(product, dtype=np.int32), identity)
+    return build_from_tables(np.asarray(product, dtype=np.int32), identity)
 
 
 def image_rows(maps, n):

@@ -149,8 +149,10 @@ def validate_presheaf(p):
     """Exhaustive sweep of the presheaf axioms; returns a list of findings.
 
     An empty list means every axiom holds: the two restriction laws, the
-    projection law, surjectivity of the projection, fiber connectivity,
-    and monotonicity of distances under restriction.
+    projection law, surjectivity of the projection, and monotonicity of
+    distances under restriction.  Fiber connectivity is not swept here:
+    ``MetricPresheaf.build``, the only constructor, rejects a
+    disconnected fiber.
     """
     out = []
     m = p.num_points
@@ -187,19 +189,7 @@ def validate_presheaf(p):
     table = p.metric.table
     for e in range(k):
         pts = np.flatnonzero(proj == e)
-        if pts.size == 0:
-            continue
         sub = table[np.ix_(pts, pts)]
-        if np.any(~np.isfinite(sub)):
-            i, j = np.argwhere(~np.isfinite(sub))[0]
-            out.append(
-                Violation(
-                    "connected",
-                    (int(pts[i]), int(pts[j])),
-                    "fiber not connected",
-                )
-            )
-            continue
         for f in range(k):
             rx = restrict[pts, f]
             res = table[np.ix_(rx, rx)]

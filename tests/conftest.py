@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -35,6 +36,17 @@ def read_metric_file(path):
     size = data["size"]
     rows = [[math.inf if v is None else v for v in row] for row in data["rows"]]
     return np.array(rows, dtype=np.float64).reshape(size, size)
+
+
+def qi_bounds_hold(report, mapped, da, db):
+    """(1/L) d - C <= d' <= L d + C on every finite pair, exactly: d from
+    ``da``, d' from ``db`` at the mapped points, (L, C) from a QiReport."""
+    mask = np.isfinite(da)
+    a = da[mask].astype(np.int64)
+    b = db[np.ix_(mapped, mapped)][mask].astype(np.int64)
+    L, C = report.mult, report.add
+    pairs = zip(a.tolist(), b.tolist())
+    return all(Fraction(x) / L - C <= y <= L * x + C for x, y in pairs)
 
 
 # The fields data files keep in .npy sidecars, and the two layouts a

@@ -36,7 +36,7 @@ from invgeom.action import _qualifying, coset_cover_holds
 from invgeom.families import chain_semilattice, cyclic_group_table
 from invgeom.verify import check_edge_pairing
 
-from conftest import enumerate_partial_bijections, transposition_indices
+from conftest import enumerate_partial_bijections, qi_bounds_hold, transposition_indices
 
 EXPECTED_ORDERS = {1: 2, 2: 7, 3: 34, 4: 209, 5: 1546}
 
@@ -164,7 +164,7 @@ def test_criterion_7_rips_embedding_bounds(radius, i3, i3_transpositions, i3_act
     word = cayley_metric(i3, i3_transpositions)
     both = qi_constants(np.arange(i3.order), rips.metric, word.metric)
     assert both.mult < math.inf and both.add < math.inf
-    assert both.bounds_hold(np.arange(i3.order), rips.metric.table, word.metric.table)
+    assert qi_bounds_hold(both, np.arange(i3.order), rips.metric.table, word.metric.table)
     report(
         7,
         f"R={radius}: subdivision and Lipschitz bounds exact; "

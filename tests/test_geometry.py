@@ -32,6 +32,7 @@ from invgeom.families import chain_semilattice, cyclic_group_table
 from invgeom.report import Violation
 from invgeom.verify import run_verification
 
+from conftest import qi_bounds_hold
 from test_action import half_rotation_action
 
 
@@ -285,7 +286,7 @@ def test_qi_constants_identity(i3, i3_transpositions):
     report = qi_constants(np.arange(i3.order), cm.metric, cm.metric)
     assert report.mult == 1 and report.add == 0
     assert report.coarse_radius == 0
-    assert report.bounds_hold(np.arange(i3.order), cm.metric.table, cm.metric.table)
+    assert qi_bounds_hold(report, np.arange(i3.order), cm.metric.table, cm.metric.table)
 
 
 def test_qi_constants_rejects_finiteness_mismatch(i2, i2_swap):
@@ -425,8 +426,8 @@ def test_rips_vs_word_qi_finite(i3, i3_transpositions, i3_action):
         rips = rips_graph(i3_action, i3.identity, radius)
         report = qi_constants(np.arange(i3.order), rips.metric, cm.metric)
         assert report.mult >= 1 and report.add >= 0
-        assert report.bounds_hold(
-            np.arange(i3.order), rips.metric.table, cm.metric.table
+        assert qi_bounds_hold(
+            report, np.arange(i3.order), rips.metric.table, cm.metric.table
         )
 
 

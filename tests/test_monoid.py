@@ -123,6 +123,15 @@ def test_from_table_round_trip(i2):
     assert m.identity == i2.identity
 
 
+def test_from_table_keeps_an_int32_table(i2):
+    table = np.array(i2.product, dtype=np.int32)
+    m = from_table(table, i2.identity)
+    assert m.product is table and not table.flags.writeable
+    wide = np.array(i2.product, dtype=np.int64)
+    assert from_table(wide, i2.identity).product.dtype == np.int32
+    assert wide.flags.writeable
+
+
 def test_from_table_rejects_non_associative():
     table = [
         [0, 1, 2],

@@ -17,32 +17,32 @@ from invgeom.report import checks_to_json
 from invgeom.verify import run_verification
 
 DIGESTS = {
-    ("trivial", 1): "d29f233739ae8f1a8095b885489bd0311fa6b1e4d96d4779704fa7b776fcd17f",
-    ("trivial", 2): "e6fd01ed09f4224c639adb219e4535ee5a0fb4768b8bf1865949bb58a82d1889",
-    ("trivial", 3): "43462b0ce6da2550db87bdcbd611b992af93ce1eb5ab95ee49d608b195e980b4",
-    ("i1", 1): "d0795b87025a001c1e13e434fabd3d2c7ace823509c3a2cd76fadec87d6a1f93",
-    ("i1", 2): "3a78ebe119b6c3b406552878da00450ac3536ff92ef45cc055d6ee1d49738808",
-    ("i1", 3): "5d469e498db561f0673648bad9fa767593de66e26248883920f97f0f3a665f6d",
-    ("i2", 1): "27d6bd680e1134a7de25c24afcb5398f07b085ad4cc55d3a404086e110c4d8fb",
-    ("i2", 2): "f982219b44ee87ea8ef54201cd49375c40a6885d715128d37cb1291cc53514ba",
-    ("i2", 3): "d08b6bd94c1b3c58733dcf40a7cefacca56fe53ab9f0282d277ff27444597c0b",
-    ("i3", 1): "afd2814748c5eee40c336bc0e439359eaab64afcd80e28a2377a02434453934b",
-    ("i3", 2): "898aaa9faabfad97a987c3ae33fa1b212dda623414b3789aabda01cf7b889369",
-    ("i3", 3): "310091eb74d4d97dfdb43d0ab637a2e2ae934156128107f44271a8bd9526c282",
-    ("chain2_z2", 1): "f7a423653f774650f77d3567938e3b46180c9dc21baef56d1d6e1ceb452e9816",
-    ("chain2_z2", 2): "05857af94cd715a09465cec80a08be6022d20d4973ce4151eedb56cb632eaf3c",
-    ("chain2_z2", 3): "dcfac3a5eb0610824f021bbf45d8d48dfd3b2bb0be55958d23ffb4e8f8986809",
-    ("chain3_z3", 1): "5a3b50b035218873a7c446f680f890fcbd1c0f0bdd12ee10cdf9b1a3970e8abd",
-    ("chain3_z3", 2): "1e4d79475e75f24f49503c5441b7f83cdcd72ea8cc292ddc4e64d665d1456c7f",
-    ("chain3_z3", 3): "7f617a1accf48852552921e614254e7f732b7c3ec84a32306781a251eacadd15",
-    ("i4", 1): "950309d2fd69562aa888c7dfb69073a25d8d2c6f3b6097d723476cb2d0a4afd4",
-    ("i5", 1): "6193679de23597f16dc35cb15efca5a7ae402a03e2e5fe7827879dd510a9a979",
+    ("trivial", 1): "bb5b117266aea8422a3404991de25c1de1518803a81936cc5bcc9d44f414f742",
+    ("trivial", 2): "0d38978ba2001f9508b17ee275af1d5ecec7e635b89ff5cf249d5cc0fd1745a2",
+    ("trivial", 3): "65264dec456a9b077e4b94fd2bf00a51fc5f2f5282dff8f800da83136cba05fe",
+    ("i1", 1): "2f28464bcc0a518ad9ed80b7ae19a8ac75e98e6d674f8b2b2ab025cb031dbb1e",
+    ("i1", 2): "9a3b15307aa2bc4a2d735a9d44873c20d1f3298f39307c374c919a745aac68de",
+    ("i1", 3): "90ede6f9cb92a93fa189edd02197757e4f0395bf33ed5db95b7e04255220dc7a",
+    ("i2", 1): "0be972d6674250927c4309e7987220ab8560b75987cdcd861088ad977b0ec095",
+    ("i2", 2): "38fa82bcaafd40f6b36c9ba0fc06174ad072128edea3d29c6897f72200c38a45",
+    ("i2", 3): "654aeee327edd92c2d6ffc528988fe5de1b339cff6ecdd8360a728772e6fb420",
+    ("i3", 1): "21fade31f5664373bc2f810a8b209cbed09a78b646a079ef9feaa62ea17d48ea",
+    ("i3", 2): "eb570ca981f9432930b686c681bcf480a8b92f2bde1529d5afcd3980e85c9023",
+    ("i3", 3): "c64f18b17ad02901bd857697a0bd57eb25d763c48a1318f94acb4bfedafeadda",
+    ("chain2_z2", 1): "400bad51f0ab98239a440d73981be2fd612b73376c53025595935bd278aeb3eb",
+    ("chain2_z2", 2): "f877604c15875c83ee740ecb48f5cd9f98c19e087d36a890eeba0e7b9316801d",
+    ("chain2_z2", 3): "8dc252520c6fd5109807ca12c0c74b72905201ba951219dc5ee051fe8dde44b4",
+    ("chain3_z3", 1): "f219753e464c523627c45492cbc07f1b348513bcb71ab8137d272294d1d4f4dd",
+    ("chain3_z3", 2): "df5579fe590ea16148af6b14e7559ee27a96005cc647c6769daa33cf98d8280e",
+    ("chain3_z3", 3): "9e2088882d283e44fc76edbbd5f7b9bf032aeec12f85f5e5ed17265882cc7315",
+    ("i4", 1): "d250e345c658f566a21954fba150874fe20d9e48b331d49d149be7add95f5c40",
+    ("i5", 1): "ecac36967d054f870cc7f700c0e6e734c5f80a351882a51a973694ad181a2089",
 }
 
 
 # I4 with one act entry changed: action-axioms fails, and every check
 # built on the action is skipped.
-TAMPERED_DIGEST = "bb134b03781dd33e0ab3e895131932564483123c6b1e09c191b1fc9f3cc2c733"
+TAMPERED_DIGEST = "5d29effbe99771f28649f4a266dc3d1c2d0d58199b60052bf9f58e5d1f345edd"
 
 
 def tampered_i4():

@@ -30,15 +30,9 @@ def test_a_failed_action_skips_every_check_built_on_it():
     assert not passed
     assert not by_name["action-axioms"].passed
     assert by_name["action-axioms"].witness is not None
-    for name in (
-        "presheaf-axioms",
-        "edge-pairing",
-        "word-metric-agreement",
-        "word-metric-predicates",
-    ):
+    for name in ("presheaf-axioms", "word-metric-predicates"):
         assert by_name[name].passed, name
     skipped = {
-        "theta-isometry": ["action-axioms"],
         "cobounded": ["action-axioms"],
         "generator-extraction": ["cobounded"],
         "properness-cover": ["generator-extraction"],
@@ -53,8 +47,8 @@ def test_a_failed_action_skips_every_check_built_on_it():
         check = by_name[name]
         assert not check.passed and check.witness is None, name
         assert check.data == {"skipped_after": after}, name
-    assert len(checks) == 5 + len(skipped)
-    assert str(by_name["theta-isometry"]) == "SKIP theta-isometry after action-axioms"
+    assert len(checks) == 3 + len(skipped)
+    assert str(by_name["cobounded"]) == "SKIP cobounded after action-axioms"
     # a skipped check computes nothing
     assert cobound.call_count == 0 and rips.call_count == 0
 
@@ -86,24 +80,30 @@ def test_an_error_inside_a_check_fails_that_check(i2_action):
     checks, passed = run_verification(i2_action, ())
     by_name = _by_name(checks)
     assert not passed
-    for name in ("word-metric-agreement", "word-metric-predicates"):
-        assert "not quasi-generating" in by_name[name].data["error"], name
+    assert "not quasi-generating" in by_name["word-metric-predicates"].data["error"]
     for name in ("orbit-map-qi", "orbit-inequalities", "rips-vs-word-qi-r1"):
         assert by_name[name].data == {"skipped_after": ["word-metric-predicates"]}
     assert by_name["cobounded"].passed
     assert by_name["rips-quasi-generators-r1"].passed
 
 
-def test_a_failed_metric_build_runs_once(i2_action):
+def test_a_failed_metric_build_runs_once(i2_action, i2_swap):
     with patch.object(verify, "cayley_metric", wraps=verify.cayley_metric) as word:
         checks, passed = run_verification(i2_action, ())
-    by_name = _by_name(checks)
     assert not passed
     assert word.call_count == 1
+    # a basepoint outside the identity fiber: the Rips graph fails to
+    # build, and both checks that read it fail with its one error
+    assert 1 not in i2_action.identity_fiber()
+    with patch.object(verify, "rips_graph", wraps=verify.rips_graph) as rips:
+        checks, passed = run_verification(i2_action, (i2_swap,), basepoint=1)
+    by_name = _by_name(checks)
+    assert not passed
+    assert rips.call_count == 1
     errors = [by_name[name].data["error"]
-              for name in ("word-metric-agreement", "word-metric-predicates")]
+              for name in ("rips-embedding-bounds-r1", "rips-vs-word-qi-r1")]
     assert errors[0] == errors[1]
-    assert "not quasi-generating" in errors[0]
+    assert "not in the identity fiber" in errors[0]
 
 
 def test_one_run_builds_each_metric_once(i3_action, i3_transpositions):
