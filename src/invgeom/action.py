@@ -14,6 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
+from .extmetric import class_pairs, first_increase, first_split
+from .monoid import row_blocks
 from .presheaf import MetricPresheaf, cayley_presheaf
 from .report import Violation
 
@@ -98,17 +100,18 @@ def validate_action(a):
             )
     product, gens = mon.product, mon.generating_set
     for s in gens:
-        lhs = act[act[:, s], :]
-        rhs = act[:, product[s, :]]
-        if not np.array_equal(lhs, rhs):
-            x, t = np.argwhere(lhs != rhs)[0]
-            out.append(
-                Violation(
-                    "action-law",
-                    (int(x), s, int(t)),
-                    "(x.s).t != x.(st)",
+        for rows in row_blocks(*act.shape):
+            bad = act[act[rows, s], :] != act[rows][:, product[s, :]]
+            if bad.any():
+                x, t = divmod(int(np.argmax(bad)), mon.order)
+                out.append(
+                    Violation(
+                        "action-law",
+                        (int(rows[x]), s, t),
+                        "(x.s).t != x.(st)",
+                    )
                 )
-            )
+                break
     proj, idem = p.proj, np.array(idem, dtype=np.intp)
     for s in gens:
         lhs = proj[act[:, s]]
@@ -122,15 +125,12 @@ def validate_action(a):
                     "p(x.s) != s^-1 p(x) s",
                 )
             )
-    table = p.metric.table
     for i in range(len(idem)):
         pts = np.flatnonzero(proj == i)
-        sub = table[np.ix_(pts, pts)]
         for s in gens:
-            imgs = act[pts, s]
-            res = table[np.ix_(imgs, imgs)]
-            bad = np.argwhere(res > sub)
-            for bi, bj in bad[:1]:
+            bad = first_increase(p.metric, pts, act[pts, s])
+            if bad is not None:
+                bi, bj = bad
                 out.append(
                     Violation(
                         "lipschitz",
@@ -147,15 +147,21 @@ def check_theta_isometry(a, s):
     Compares extended distances (infinite values must agree) over the
     image of restriction by ran(s).  Returns (ok, witness).
     """
-    p, act = a.presheaf, a.act
+    p, act, metric = a.presheaf, a.act, a.presheaf.metric
     ran_local = a.base_of[a.monoid.ran(s)]
     domain = np.flatnonzero(np.bincount(p.restrict[:, ran_local]))
     images = act[domain, s]
-    before = p.metric.table[np.ix_(domain, domain)]
-    after = p.metric.table[np.ix_(images, images)]
-    if np.array_equal(before, after):
+    # the pairs finite before, in row-major order, and those finite after only
+    i, j = class_pairs(metric.label[domain])
+    differ = np.flatnonzero(
+        metric.distances(domain[i], domain[j]) != metric.distances(images[i], images[j])
+    )
+    keys = [(i[k], j[k]) for k in differ[:1]]
+    split = first_split(metric.label[domain], metric.label[images])
+    keys += [] if split is None else [split]
+    if not keys:
         return True, None
-    i, j = np.argwhere(before != after)[0]
+    i, j = min(keys)
     return False, (int(domain[i]), int(domain[j]), s)
 
 
@@ -166,10 +172,9 @@ def coboundedness_constant(a, x1):
         raise PreconditionError(
             f"basepoint {x1} is not in the identity fiber", witness=(x1,)
         )
-    row = p.metric.table[x1]
     best = np.full(p.num_points, math.inf)
-    for b in np.flatnonzero(np.isfinite(row)):
-        np.minimum.at(best, act[b, :], row[b])
+    for b, d in zip(*p.metric.row(x1)):
+        np.minimum.at(best, act[b, :], d)
     if np.any(np.isinf(best)):
         return None
     return int(best.max())
@@ -181,7 +186,7 @@ def _qualifying(a, y1, radius):
     dom = a.monoid.dom_table
     pts_s = act[y1, :]
     pts_d = act[y1, dom]
-    dvals = a.presheaf.metric.table[pts_s, pts_d]
+    dvals = a.presheaf.metric.distances(pts_s, pts_d, fill=math.inf)
     cutoff = math.floor(Fraction(radius))
     return [int(s) for s in np.flatnonzero(dvals <= cutoff)]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .extmetric import ExtendedMetric, all_pairs_bfs, bfs
+from .extmetric import ExtendedMetric, all_pairs_bfs, bfs, first_split
 from .monoid import mulclose
 
 
@@ -82,14 +82,10 @@ def cayley_metric(monoid, gens):
     """
     sym = symmetric_quasi_generators(monoid, gens)
     metric = all_pairs_bfs(word_successors(monoid, sym, within_class=True))
-    found = set(frozenset(c) for c in metric.components())
-    expected = set(frozenset(c) for c in monoid.lclasses)
-    if found != expected:
+    if first_split(metric.label, monoid.dom_table) is not None:
         raise ValidationError("metric components disagree with L-classes")
     return CayleyMetricTable(
-        metric=metric,
-        generators=sym,
-        components=tuple(tuple(sorted(c)) for c in sorted(found, key=min)),
+        metric=metric, generators=sym, components=metric.components()
     )
 
 

@@ -1,4 +1,4 @@
-"""Unit-edge path metrics: one breadth-first kernel and the distance tables it fills.
+"""Unit-edge path metrics: one breadth-first kernel and the distance blocks it fills.
 
 Every graph in this package is a successor array ``succ[u, j]``, and
 every metric the path metric of one with unit edges: for word metrics a
@@ -8,66 +8,129 @@ vertex's sorted neighbours padded with the vertex itself
 at once and returns integer levels, with UNREACHED for vertices a
 source does not reach.
 
-A symmetric metric is stored in a float64 table where ``math.inf`` marks
-pairs in different components.  Finite values are integers, which
-float64 represents exactly, so comparisons never hit rounding.
-Callers compare them with fractional radii exactly, through integer
-thresholds such as floor(R).
+An extended metric is finite exactly within its components, and
+``ExtendedMetric`` stores it that way: a component label per point, the
+points of each component in increasing order, and one flat integer
+``table`` holding each component's |C| x |C| distances as consecutive
+row-major blocks, in int16, or in int32 when a distance needs it.  The
+distance between components is infinite and stored nowhere, so no array
+has an entry per pair of points.  Distances are integers, so comparisons
+with fractional radii go through integer thresholds such as floor(R).
+Sweeps over all pairs run a block at a time, and where a dense sweep
+would report its first pair in row-major order, the blocks report the
+least key x * m + y among them.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 INFINITE = math.inf
-UNREACHED = -1  # unreached level; metric_from_int_table reads -1 as infinite
+UNREACHED = -1  # unreached level, and the distance across components
 
 
 @dataclass(frozen=True, eq=False)
 class ExtendedMetric:
-    table: np.ndarray  # (m, m) float64, inf off-component
+    label: np.ndarray  # (m,) component of each point, numbered by least point
+    points: tuple      # each component's points, increasing
+    table: np.ndarray  # the components' distance blocks, one after another
+    sizes: np.ndarray = field(init=False, repr=False)     # points per component
+    position: np.ndarray = field(init=False, repr=False)  # index within its component
+    offset: np.ndarray = field(init=False, repr=False)    # where each block starts
+
+    def __post_init__(self):
+        sizes = np.array([p.size for p in self.points], dtype=np.intp)
+        position = np.empty(self.label.size, dtype=np.intp)
+        if position.size:
+            starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+            position[np.concatenate(self.points)] = np.arange(position.size) - starts
+        offset = np.concatenate([[0], np.cumsum(sizes * sizes)]).astype(np.intp)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "offset", offset)
 
     @property
     def size(self):
-        return int(self.table.shape[0])
+        return int(self.label.shape[0])
 
     def dist(self, x, y):
         """Distance as an int, or math.inf across components."""
-        v = self.table[x, y]
-        return INFINITE if math.isinf(v) else int(v)
+        c = self.label[x]
+        if c != self.label[y]:
+            return INFINITE
+        key = self.offset[c] + self.position[x] * self.sizes[c] + self.position[y]
+        return int(self.table[key])
 
-    @property
-    def finite_mask(self):
-        return np.isfinite(self.table)
+    def distances(self, x, y, fill=UNREACHED):
+        """d(x, y) over broadcast index arrays, ``fill`` across components.
+
+        With the default fill the result has the table's integer dtype;
+        with ``fill=INFINITE`` it is float64, exact on integers.
+        """
+        c = self.label[x]
+        same = c == self.label[y]
+        key = self.offset[c] + self.position[x] * self.sizes[c] + self.position[y]
+        return np.where(same, self.table[np.where(same, key, 0)], fill)
+
+    def among(self, pts):
+        """d over pts x pts, one gather from a block when pts share a component."""
+        c = self.label[pts]
+        if not (pts.size and np.all(c == c[0])):
+            return self.distances(pts[:, None], pts)
+        at = self.position[pts]
+        return self.block(c[0])[at[:, None], at]
+
+    def pairs(self, rows):
+        """(x, y, d(x, y)) for every finite pair with x in ``rows``, in row-major
+        order when ``rows`` increase."""
+        c = self.label[rows]
+        width = self.sizes[c]
+        x = np.repeat(rows, width)
+        # y is the k-th point of x's component
+        k = np.arange(x.size) - np.repeat(np.cumsum(width) - width, width)
+        first = np.cumsum(self.sizes) - self.sizes
+        y = np.concatenate(self.points)[np.repeat(first[c], width) + k]
+        row = self.offset[c] + self.position[rows] * width
+        return x, y, self.table[np.repeat(row, width) + k]
+
+    def block(self, c):
+        """Component c's distances, rows and columns in ``points[c]`` order."""
+        k = self.sizes[c]
+        return self.table[self.offset[c] : self.offset[c + 1]].reshape(k, k)
+
+    def row(self, x):
+        """(points, distances): x's component and the distance to each point."""
+        c = self.label[x]
+        return self.points[c], self.block(c)[self.position[x]]
 
     def max_finite(self):
-        vals = self.table[self.finite_mask]
-        return int(vals.max()) if vals.size else 0
+        return int(self.table.max(initial=0))
 
     def components(self):
-        """Finite-distance classes, each a tuple of indices."""
-        m = self.size
-        seen = np.zeros(m, dtype=bool)
-        comps = []
-        for x in range(m):
-            if seen[x]:
-                continue
-            cls = np.flatnonzero(np.isfinite(self.table[x]))
-            seen[cls] = True
-            comps.append(tuple(int(i) for i in cls))
-        return tuple(comps)
+        """Finite-distance classes, each a tuple of indices, by least index."""
+        return tuple(tuple(pts.tolist()) for pts in self.points)
 
 
-def metric_from_int_table(table):
-    """Wrap an integer table using -1 as the infinite marker."""
-    arr = np.asarray(table, dtype=np.float64)
-    arr[arr < 0] = INFINITE
-    arr.setflags(write=False)
-    return ExtendedMetric(arr)
+def classes(label, count=0):
+    """Each class's indices, increasing: class c is {x : label[x] = c}, for
+    every c below ``count`` and up to the largest label."""
+    label = np.asarray(label, dtype=np.intp)
+    if not (label.size or count):
+        return ()
+    order = np.argsort(label, kind="stable")
+    bounds = np.cumsum(np.bincount(label, minlength=count))[:-1]
+    return tuple(np.split(order, bounds))
 
 
-def bfs(succ, sources, limit=None, parents=False):
+def narrow(table):
+    """An integer table in int16, or in int32 when a value needs it."""
+    high = int(table.max(initial=0))
+    dtype = np.int16 if high <= np.iinfo(np.int16).max else np.int32
+    return table.astype(dtype, copy=False)
+
+
+def bfs(succ, sources, limit=None, parents=False, spans=None):
     """Breadth-first levels from each source over a successor array.
 
     ``succ[u, j]`` is the j-th successor of vertex u; a row may repeat u
@@ -75,6 +138,11 @@ def bfs(succ, sources, limit=None, parents=False):
     ``sources[i]`` to every vertex, or UNREACHED where that source does
     not reach within ``limit`` steps.  All sources advance together, one
     level at a time, with the level table itself as the visited set.
+
+    With ``spans``, a pair of arrays (lo, hi), the search from sources[i]
+    covers the vertices lo[i] .. hi[i] - 1 alone, which no edge from them
+    may leave.  Row i then holds the levels of those vertices only, and
+    the rows come concatenated in one flat array.
 
     With ``parents`` the result is ``(level, parent, column)``: each
     reached vertex's predecessor on a shortest path and the successor
@@ -86,19 +154,29 @@ def bfs(succ, sources, limit=None, parents=False):
     succ = np.asarray(succ)
     n = succ.shape[0]
     sources = np.asarray(sources, dtype=np.intp)
-    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-    level = np.full((sources.size, n), UNREACHED, dtype=dtype)
-    flat = level.reshape(-1)
+    if spans is None:
+        lo, width = np.zeros_like(sources), np.full_like(sources, n)
+    else:
+        lo = np.asarray(spans[0], dtype=np.intp)
+        width = np.asarray(spans[1], dtype=np.intp) - lo
+    top = n if spans is None else int(width.max(initial=0))
+    dtype = np.int16 if top <= np.iinfo(np.int16).max else np.int32
+    flat = np.full(int(width.sum()), UNREACHED, dtype=dtype)
     if parents:
         parent = np.full_like(flat, -1)
         column = np.full_like(flat, -1)
-    # the frontier as sorted keys row * n + vertex
-    frontier = np.arange(sources.size) * n + sources
+    # the frontier as sorted keys: vertex v of row i at start[i] + v - lo[i]
+    start = np.cumsum(width) - width
+    frontier = start + sources - lo
     flat[frontier] = 0
     depth = 0
     while frontier.size and (limit is None or depth < limit):
         depth += 1
-        u = frontier % n
+        if spans is None:
+            u = frontier % n
+        else:
+            row = np.searchsorted(start, frontier, side="right") - 1
+            u = frontier - start[row] + lo[row]
         # a column's fresh keys are marked at once, so no later column
         # finds them again; within a column they come in frontier order
         keys, picks = [frontier[:0]], [frontier[:0]]
@@ -123,9 +201,10 @@ def bfs(succ, sources, limit=None, parents=False):
         if parents:
             parent[frontier] = u[pick[first] % u.size]
             column[frontier] = pick[first] // u.size
+    shape = (sources.size, n) if spans is None else flat.shape
     if parents:
-        return level, parent.reshape(level.shape), column.reshape(level.shape)
-    return level
+        return flat.reshape(shape), parent.reshape(shape), column.reshape(shape)
+    return flat.reshape(shape)
 
 
 def trace_paths(level, parent, column, rows, targets):
@@ -171,5 +250,83 @@ def successor_array(n, u, v):
 
 
 def all_pairs_bfs(succ):
-    """Unit-edge path metric of a symmetric successor array; inf across components."""
-    return metric_from_int_table(bfs(succ, np.arange(len(succ))))
+    """Unit-edge path metric of a symmetric successor array; inf across components.
+
+    The components come first: every vertex takes the least label among
+    itself and its successors, then the label of its label, until nothing
+    changes, which leaves each component labelled by its least vertex.
+    Renumbered component by component, the vertices are then searched
+    from all at once, each within its own component, so the levels come
+    out as the metric's table, block by block.
+    """
+    succ = np.asarray(succ, dtype=np.intp)
+    n = succ.shape[0]
+    least = np.arange(n)
+    while True:
+        lower = np.minimum(least, least[succ].min(axis=1, initial=n))
+        lower = lower[lower]
+        if np.array_equal(lower, least):
+            break
+        least = lower
+    label = np.searchsorted(np.flatnonzero(least == np.arange(n)), least)
+    points = classes(label)
+    order = np.argsort(label, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    counts = np.bincount(label)
+    lo = np.repeat(np.cumsum(counts) - counts, counts)
+    levels = bfs(rank[succ[order]], np.arange(n), spans=(lo, lo + np.repeat(counts, counts)))
+    table = narrow(levels)
+    table.setflags(write=False)
+    return ExtendedMetric(label, points, table)
+
+
+def class_pairs(label):
+    """Every pair (x, y) with label[x] = label[y], in row-major order."""
+    label = np.asarray(label, dtype=np.intp)
+    if not label.size:
+        return label, label
+    order = np.argsort(label, kind="stable")
+    sizes = np.bincount(label)
+    width = sizes[label]
+    x = np.repeat(np.arange(label.size), width)
+    # x's partners are its class in increasing order: order[start:start + width]
+    y = np.arange(x.size)
+    y += np.repeat((np.cumsum(sizes) - sizes)[label] - (np.cumsum(width) - width), width)
+    return x, order[y]
+
+
+def first_split(a, b):
+    """The least (x, y) in row-major order on which two partitions disagree.
+
+    Points x and y are in one class of ``a`` but not of ``b``, or the
+    other way round; None when the partitions are equal.  x has such a
+    partner iff its two classes and their intersection differ in size.
+    """
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    if not a.size:
+        return None
+    order = np.lexsort((b, a))
+    fresh = np.ones(a.size, dtype=bool)
+    fresh[1:] = (np.diff(a[order]) != 0) | (np.diff(b[order]) != 0)
+    run = np.cumsum(fresh) - 1
+    both = np.empty(a.size, dtype=np.intp)
+    both[order] = np.bincount(run)[run]
+    split = (both != np.bincount(a)[a]) | (both != np.bincount(b)[b])
+    if not split.any():
+        return None
+    x = int(np.argmax(split))
+    return x, int(np.argmax((a == a[x]) != (b == b[x])))
+
+
+def first_increase(metric, points, images):
+    """The least (i, j) with d(images[i], images[j]) > d(points[i], points[j]).
+
+    An infinite distance exceeds every finite one but not itself.  None
+    when no pair increases.
+    """
+    before, after = metric.among(points), metric.among(images)
+    bad = (before != UNREACHED) & ((after == UNREACHED) | (after > before))
+    if not bad.any():
+        return None
+    return divmod(int(np.argmax(bad)), len(points))

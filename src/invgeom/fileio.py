@@ -352,10 +352,9 @@ def load_action(path, data):
 
 def metric_to_json(metric):
     """The metric file's object, with null for each infinite distance."""
-    table = metric.table
-    finite = np.isfinite(table)
-    rows = np.where(finite, table, 0).astype(np.int64).astype(object)
-    rows[~finite] = None
+    rows = np.full((metric.size, metric.size), None, dtype=object)
+    for c, pts in enumerate(metric.points):
+        rows[np.ix_(pts, pts)] = metric.block(c).astype(object)
     return {"size": metric.size, "rows": rows.tolist()}
 
 
@@ -363,30 +362,22 @@ def save_metric(path, metric):
     _write(path, metric_to_json(metric))
 
 
-def metric_to_text(metric, labels=None, components=None):
+def metric_to_text(metric, labels=None):
     """Fixed-width grid per component; 'inf' never appears inside one."""
-    if components is None:
-        components = metric.components()
     if labels is None:
         labels = [str(i) for i in range(metric.size)]
     blocks = []
-    for comp in components:
-        comp = list(comp)
+    for c, pts in enumerate(metric.points):
+        comp = pts.tolist()
+        cells = [[str(d) for d in row] for row in metric.block(c).tolist()]
         width = max(
-            [len(labels[i]) for i in comp]
-            + [
-                len(str(metric.dist(i, j)))
-                for i in comp
-                for j in comp
-            ]
+            [len(labels[i]) for i in comp] + [len(v) for row in cells for v in row]
         )
-        header = " ".join(
-            [" " * width] + [labels[j].rjust(width) for j in comp]
-        )
-        lines = [header]
-        for i in comp:
-            cells = [str(metric.dist(i, j)).rjust(width) for j in comp]
-            lines.append(" ".join([labels[i].rjust(width)] + cells))
+        lines = [" ".join([" " * width] + [labels[j].rjust(width) for j in comp])]
+        for i, row in zip(comp, cells):
+            lines.append(
+                " ".join([labels[i].rjust(width)] + [v.rjust(width) for v in row])
+            )
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 

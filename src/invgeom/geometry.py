@@ -21,10 +21,13 @@ from .extmetric import (
     ExtendedMetric,
     all_pairs_bfs,
     bfs,
+    classes,
+    first_increase,
+    first_split,
     successor_array,
     trace_paths,
 )
-from .monoid import mulclose, natural_leq_matrix
+from .monoid import mulclose
 from .report import CheckResult, Violation
 
 QI_LADDER = tuple(Fraction(k, 4) for k in range(4, 65))
@@ -114,9 +117,10 @@ def extract_generators(a, x1, t):
         raise PreconditionError(
             f"basepoint {x1} is not in the identity fiber", witness=(x1,)
         )
-    table = p.metric.table
+    metric = p.metric
+    near, dist = metric.row(x1)
     covered = np.zeros(p.num_points, dtype=bool)
-    covered[act[table[x1] <= t]] = True
+    covered[act[near[dist <= t]]] = True
     if not covered.all():
         raise PreconditionError(
             f"action is not {t}-cobounded from basepoint {x1}",
@@ -125,7 +129,7 @@ def extract_generators(a, x1, t):
     threshold = 2 * t + 1
     orbit = act[x1, :]
     dom = mon.dom_table
-    displacement = table[orbit, orbit[dom]]
+    displacement = metric.distances(orbit, orbit[dom], fill=INFINITE)
     gens = np.flatnonzero(displacement <= threshold)
     starts = np.flatnonzero(np.bincount(orbit[dom]))
     rows = np.searchsorted(starts, orbit[dom])
@@ -133,12 +137,18 @@ def extract_generators(a, x1, t):
     path, _, steps = trace_paths(level, parent, column, rows, orbit)
     elems = np.arange(mon.order)
     on_path = np.arange(path.shape[1]) <= steps[:, None]
-    # each point's least orbit representative within T; s itself ends its path
-    close = (table <= t)[:, orbit]
-    nearest = close.argmax(axis=1).astype(mon.product.dtype)
+    # each point's least orbit representative within T, or 0 where none
+    # is; s itself ends its path
+    nearest = np.zeros(p.num_points, dtype=mon.product.dtype)
+    owners = classes(metric.label[orbit], len(metric.points))
+    for c, (pts, owner) in enumerate(zip(metric.points, owners)):
+        close = metric.block(c)[:, metric.position[orbit[owner]]] <= t
+        found = close.any(axis=1)
+        nearest[pts[found]] = owner[close[found].argmax(axis=1)]
     reps = nearest[path]
     reps[elems, steps] = elems
-    unrepresented = on_path & ~close[path, reps]
+    gap = metric.distances(path, orbit[reps])
+    unrepresented = on_path & ((gap == UNREACHED) | (gap > t))
     factors = reps.copy()
     factors[:, 1:] = mon.product[reps[:, 1:], mon.inverse[reps[:, :-1]]]
     acc = factors[:, 0]
@@ -196,20 +206,18 @@ def qi_constants(mapped, da, db):
     plus the exact coarse-surjectivity radius into ``db``.
     """
     mapped = np.asarray(mapped, dtype=np.intp)
-    a = da.table
-    b = db.table[np.ix_(mapped, mapped)]
-    fin_a = np.isfinite(a)
-    if not np.array_equal(fin_a, np.isfinite(b)):
-        x, y = np.argwhere(fin_a != np.isfinite(b))[0]
+    split = first_split(da.label, db.label[mapped])
+    if split is not None:
         raise PreconditionError(
-            "map does not preserve finiteness of distances",
-            witness=(int(x), int(y)),
+            "map does not preserve finiteness of distances", witness=split
         )
-    av = a[fin_a].astype(np.int64)
-    bv = b[fin_a].astype(np.int64)
     # the residuals depend only on which distance pairs (x, y) occur
-    width = int(bv.max(initial=0)) + 1
-    x, y = np.divmod(np.flatnonzero(np.bincount(av * width + bv)), width)
+    width = db.max_finite() + 1
+    seen = np.zeros((da.max_finite() + 1) * width, dtype=bool)
+    for c, pts in enumerate(da.points):
+        bv = db.distances(mapped[pts, None], mapped[pts])
+        seen[da.block(c).astype(np.int64) * width + bv] = True
+    x, y = np.divmod(np.flatnonzero(seen), width)
     p = np.array([[lad.numerator] for lad in QI_LADDER])
     q = np.array([[lad.denominator] for lad in QI_LADDER])
     # C(L) = max(over / q, under / p, 0) over the common denominator p q
@@ -221,9 +229,15 @@ def qi_constants(mapped, da, db):
     ]
     # min keeps the first of equal residuals, so ties go to the least L
     best = min(range(len(QI_LADDER)), key=residual.__getitem__)
-    reach = db.table[mapped, :]
-    nearest = reach.min(axis=0)
-    radius = INFINITE if np.any(np.isinf(nearest)) else int(nearest.max())
+    hit = np.zeros(db.size, dtype=bool)
+    hit[mapped] = True
+    radius = 0
+    for c, pts in enumerate(db.points):
+        reach = db.block(c)[hit[pts]]
+        if not reach.size:
+            radius = INFINITE
+            break
+        radius = max(radius, int(reach.min(axis=0).max()))
     return QiReport(
         mult=QI_LADDER[best],
         add=residual[best],
@@ -244,8 +258,9 @@ def orbit_map_qi(a, x1, word):
     mon, p = a.monoid, a.presheaf
     orbit = np.asarray(a.act[x1, :], dtype=np.intp)
     base = qi_constants(orbit, word.metric, p.metric)
-    s, t = np.nonzero(natural_leq_matrix(mon))
-    # p.leq(x1.s, x1.t) for every pair s <= t at once
+    # p.leq(x1.s, x1.t) for every pair s <= t at once: s = e t for an
+    # idempotent e
+    s, t = mon.product[np.array(mon.idempotents, dtype=np.intp)], np.arange(mon.order)
     ordered = bool(np.all(p.restrict[orbit[t], p.proj[orbit[s]]] == orbit[s]))
     return QiReport(
         mult=base.mult,
@@ -266,10 +281,9 @@ def orbit_inequalities(a, x1, word):
     """
     mon, p = a.monoid, a.presheaf
     orbit = a.act[x1, :]
-    table = p.metric.table
     dom = mon.dom_table
-    disp = table[orbit, orbit[dom]]
-    length = word.metric.table[np.arange(mon.order), dom]
+    disp = p.metric.distances(orbit, orbit[dom], fill=INFINITE)
+    length = word.metric.distances(np.arange(mon.order), dom, fill=INFINITE)
     steps, words = _shortest_words(mon, word.generators, within_class=True)
     reached = steps != UNREACHED
     odd = np.flatnonzero(reached & (steps != length))
@@ -323,9 +337,16 @@ def rips_graph(a, x1, radius):
         raise PreconditionError(f"radius must be non-negative, got {radius}")
     cutoff = math.floor(radius)
     orbit = np.asarray(a.act[x1, :], dtype=np.intp)
-    close = a.presheaf.metric.table[np.ix_(orbit, orbit)] <= cutoff
-    np.fill_diagonal(close, False)
-    successors = successor_array(orbit.size, *np.nonzero(close))
+    fiber, n = a.presheaf.metric, orbit.size
+    # only elements whose orbit points share a component can be close
+    edges = [np.zeros(0, dtype=np.intp)]
+    for group in classes(fiber.label[orbit]):
+        close = fiber.among(orbit[group]) <= cutoff
+        np.fill_diagonal(close, False)
+        i, j = np.nonzero(close)
+        edges.append(group[i] * n + group[j])
+    u, v = np.divmod(np.sort(np.concatenate(edges)), n)
+    successors = successor_array(n, u, v)
     metric = all_pairs_bfs(successors)
     return RipsGraph(radius=radius, successors=successors, metric=metric)
 
@@ -343,40 +364,47 @@ def rips_embedding_bounds(a, x1, rips):
         raise PreconditionError("bounds need a radius of at least 1")
     step = math.floor(r)
     orbit = np.asarray(a.act[x1, :], dtype=np.intp)
-    fiber_d = a.presheaf.metric.table[np.ix_(orbit, orbit)]
-    pairs = np.argwhere(np.isfinite(fiber_d))
-    d = fiber_d[pairs[:, 0], pairs[:, 1]].astype(np.int64)
-    dr = rips.metric.table[pairs[:, 0], pairs[:, 1]]
-    lost = np.isinf(dr)
-    dr = np.where(lost, 0, dr).astype(np.int64)
-    # For each value k of d_R, with R = p/q: f k > d + f iff d < f (k - 1),
-    # and q d > p k iff d > floor(p k / q), as d is an integer.  Bounds past
-    # int64 make object arrays, which compare exactly too.
-    levels = range(int(dr.max(initial=0)) + 1)
-    below = np.array([step * (k - 1) for k in levels])
-    above = np.array([r.numerator * k // r.denominator for k in levels])
-    upper = ~lost & (d < below[dr])
-    lipschitz = ~lost & (d > above[dr])
+    fiber = a.presheaf.metric
     out = []
-    for i in np.flatnonzero(lost | upper | lipschitz).tolist():
-        pair = tuple(pairs[i].tolist())
-        if lost[i]:
-            out.append(
-                Violation(
-                    "rips-finite",
-                    pair,
-                    "orbit distance finite but Rips distance infinite",
+    # the finite pairs are those within a group of elements whose orbit
+    # points share a component; each group is swept as one block
+    for group in classes(fiber.label[orbit]):
+        d = fiber.among(orbit[group]).astype(np.int64)
+        dr = rips.metric.distances(group[:, None], group, fill=INFINITE)
+        lost = np.isinf(dr)
+        dr = np.where(lost, 0, dr).astype(np.int64)
+        # For each value k of d_R, with R = p/q: f k > d + f iff d < f (k - 1),
+        # and q d > p k iff d > floor(p k / q), as d is an integer.  Bounds
+        # past int64 make object arrays, which compare exactly too.
+        levels = range(int(dr.max(initial=0)) + 1)
+        below = np.array([step * (k - 1) for k in levels])
+        above = np.array([r.numerator * k // r.denominator for k in levels])
+        upper = ~lost & (d < below[dr])
+        lipschitz = ~lost & (d > above[dr])
+        for i, j in np.argwhere(lost | upper | lipschitz).tolist():
+            pair = (int(group[i]), int(group[j]))
+            if lost[i, j]:
+                out.append(
+                    Violation(
+                        "rips-finite",
+                        pair,
+                        "orbit distance finite but Rips distance infinite",
+                    )
                 )
-            )
-        if upper[i]:
-            out.append(
-                Violation("rips-upper", pair, f"d_R={dr[i]} > {d[i]}/{step} + 1")
-            )
-        if lipschitz[i]:
-            out.append(
-                Violation("rips-lipschitz", pair, f"d={d[i]} > ({r}) * {dr[i]}")
-            )
-    return out
+            if upper[i, j]:
+                out.append(
+                    Violation(
+                        "rips-upper", pair, f"d_R={dr[i, j]} > {d[i, j]}/{step} + 1"
+                    )
+                )
+            if lipschitz[i, j]:
+                out.append(
+                    Violation(
+                        "rips-lipschitz", pair, f"d={d[i, j]} > ({r}) * {dr[i, j]}"
+                    )
+                )
+    # pairs in row-major order, each pair's findings in the order above
+    return sorted(out, key=lambda v: v.witness)
 
 
 def validate_metric_predicates(monoid, metric, f1=None):
@@ -388,51 +416,12 @@ def validate_metric_predicates(monoid, metric, f1=None):
     set F1 must witness all radii through its powers.  ``f1`` overrides
     the derived witness.
     """
-    n = monoid.order
-    t = metric.table
-    fin = np.isfinite(t)
-    dom = monoid.dom_table
-    same_l = dom[:, None] == dom[None, :]
-    if np.array_equal(fin, same_l):
-        components = CheckResult("components-are-L-classes", True)
-    else:
-        x, y = np.argwhere(fin != same_l)[0]
-        components = CheckResult(
-            "components-are-L-classes", False, witness=(int(x), int(y))
-        )
-    off = t[~np.eye(n, dtype=bool)]
-    finite_off = off[np.isfinite(off)]
-    gap = float(finite_off.min()) if finite_off.size else None
-    uniform_discreteness = CheckResult(
-        "uniformly-discrete",
-        gap is None or gap > 0,
-        data={"separation": gap},
+    split = first_split(metric.label, monoid.dom_table)
+    components = CheckResult(
+        "components-are-L-classes", split is None, witness=split
     )
+    uniform_discreteness, properness, least = _check_pairs(monoid, metric)
     right_subinvariance = _check_right_subinvariance(monoid, metric)
-    product = monoid.product
-    xs, ys = np.nonzero(fin & ~np.eye(n, dtype=bool))
-    factors = product[ys, monoid.inverse[xs]]  # y x^-1, when it solves f x = y
-    fail = None
-    for i in np.flatnonzero(product[factors, xs] != ys):
-        sols = np.flatnonzero(product[:, xs[i]] == ys[i])
-        if not sols.size:
-            fail = i
-            break
-        factors[i] = sols[0]
-    # with a failure, only the pairs before it have factors; each
-    # factor counts from the least distance of a pair it solves
-    least = np.full(n, np.inf)
-    np.minimum.at(least, factors[:fail], t[xs[:fail], ys[:fail]])
-    if fail is not None:
-        properness = CheckResult(
-            "proper", False, witness=(int(xs[fail]), int(ys[fail]))
-        )
-    else:
-        found = least[np.isfinite(least)].astype(np.intp)
-        counts = np.cumsum(np.bincount(found, minlength=metric.max_finite() + 1))
-        properness = CheckResult(
-            "proper", True, data={"factor_counts": dict(enumerate(counts.tolist()))}
-        )
     if f1 is None:
         f1 = tuple(np.flatnonzero(least <= 1).tolist())
     else:
@@ -447,6 +436,57 @@ def validate_metric_predicates(monoid, metric, f1=None):
     )
 
 
+def _check_pairs(monoid, metric):
+    """Uniform discreteness and properness, and each factor's least distance.
+
+    The separation is the least distance off the diagonal of a block.
+    Properness sweeps the finite pairs of distinct points in row-major
+    order, a few rows at a time: a pair (x, y) counts toward the least f
+    with f x = y; the first pair with no such f fails, and only the pairs
+    before it count.
+    """
+    gaps = [
+        int(metric.block(c)[~np.eye(k, dtype=bool)].min())
+        for c, k in enumerate(metric.sizes.tolist())
+        if k > 1
+    ]
+    gap = float(min(gaps)) if gaps else None
+    uniform_discreteness = CheckResult(
+        "uniformly-discrete",
+        gap is None or gap > 0,
+        data={"separation": gap},
+    )
+    n, product = monoid.order, monoid.product
+    least = np.full(n, np.inf)
+    fail = None
+    step = max(1, (1 << 12) // int(metric.sizes.max(initial=1)))
+    for lo in range(0, n, step):
+        xs, ys, dist = metric.pairs(np.arange(lo, min(lo + step, n)))
+        off = xs != ys
+        xs, ys, dist = xs[off], ys[off], dist[off]
+        factors = product[ys, monoid.inverse[xs]]  # y x^-1, when it solves f x = y
+        for i in np.flatnonzero(product[factors, xs] != ys):
+            sols = np.flatnonzero(product[:, xs[i]] == ys[i])
+            if not sols.size:
+                fail = (int(xs[i]), int(ys[i]))
+                factors, dist = factors[:i], dist[:i]
+                break
+            factors[i] = sols[0]
+        # each factor counts from the least distance of a pair it solves
+        np.minimum.at(least, factors, dist)
+        if fail is not None:
+            break
+    if fail is not None:
+        properness = CheckResult("proper", False, witness=fail)
+    else:
+        found = least[np.isfinite(least)].astype(np.intp)
+        counts = np.cumsum(np.bincount(found, minlength=metric.max_finite() + 1))
+        properness = CheckResult(
+            "proper", True, data={"factor_counts": dict(enumerate(counts.tolist()))}
+        )
+    return uniform_discreteness, properness, least
+
+
 def _check_right_subinvariance(monoid, metric):
     """d(s x, u x) <= d(s, u) for all s, u and every x in a generating set.
 
@@ -454,24 +494,57 @@ def _check_right_subinvariance(monoid, metric):
     d(s x y, u x y) <= d(s x, u x) <= d(s, u), and every element is a
     product of the generating set.  A witness names an x of that set.
     """
-    t = metric.table
     for x in monoid.generating_set:
         moved = monoid.product[:, x]
-        bad = np.argwhere(t[np.ix_(moved, moved)] > t)
-        if bad.size:
-            s, u = bad[0]
-            return CheckResult(
-                "right-subinvariant", False, witness=(int(s), int(u), x)
-            )
+        found = []
+        for pts in metric.points:
+            bad = first_increase(metric, pts, moved[pts])
+            if bad is not None:
+                found.append((int(pts[bad[0]]), int(pts[bad[1]])))
+        if found:
+            return CheckResult("right-subinvariant", False, witness=(*min(found), x))
     return CheckResult("right-subinvariant", True)
 
 
 def _check_uniform_properness(monoid, metric, f1):
-    t = metric.table
-    everything = np.arange(monoid.order)
-    depth = bfs(word_successors(monoid, f1), everything, metric.max_finite())
-    bad = np.argwhere(np.isfinite(t) & ((depth == UNREACHED) | (depth > t)))
-    witness = (int(bad[0][0]), int(bad[0][1])) if bad.size else None
+    """d_F1(x, y) <= d(x, y) for every finite pair, with F1 as the letters.
+
+    Left multiplication never raises dom (``cayley_metric``), so a word
+    between two points of one L-class never leaves it.  So from a point
+    whose component lies in its L-class, the search runs in that class's
+    Schützenberger graph over F1, all such searches in one ``bfs`` over
+    the classes; only from the other points does it run over the whole
+    Cayley graph.  The witness is the least failing pair.
+    """
+    n, limit = monoid.order, metric.max_finite()
+    lclass = np.searchsorted(monoid.idempotents, monoid.dom_table)
+    order = np.argsort(lclass, kind="stable")  # elements L-class by L-class
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    counts = np.bincount(lclass)
+    lo = (np.cumsum(counts) - counts)[lclass]  # where each element's class starts
+    inside = [bool(np.all(lclass[pts] == lclass[pts[0]])) for pts in metric.points]
+    src = np.concatenate([np.zeros(0, dtype=np.intp)] + [
+        pts for pts, kept in zip(metric.points, inside) if kept
+    ])
+    span = counts[lclass[src]]
+    within = word_successors(monoid, f1, within_class=True)
+    level = bfs(rank[within[order]], rank[src], limit, spans=(lo[src], lo[src] + span))
+    found, at = [], 0
+    for c, pts in enumerate(metric.points):
+        if inside[c]:
+            # the rows of pts, each over the L-class in increasing order
+            width = counts[lclass[pts[0]]]
+            rows = level[at : at + pts.size * width].reshape(pts.size, width)
+            at += pts.size * width
+            depth = rows[:, rank[pts] - lo[pts]]
+        else:
+            depth = bfs(word_successors(monoid, f1), pts, limit)[:, pts]
+        bad = (depth == UNREACHED) | (depth > metric.block(c))
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), pts.size)
+            found.append((int(pts[i]), int(pts[j])))
+    witness = min(found) if found else None
     return CheckResult(
         "uniformly-proper", witness is None, witness=witness, data={"f1": f1}
     )
@@ -493,7 +566,9 @@ def quasi_generators_from_metric(monoid, metric, report):
         )
     letters = report.uniform_properness.data["f1"]
     steps, words = _shortest_words(monoid, letters, limit=metric.max_finite())
-    d = metric.table[np.arange(monoid.order), monoid.dom_table]
+    d = metric.distances(
+        np.arange(monoid.order), monoid.dom_table, fill=INFINITE
+    )
     moving = ~monoid.idempotent_mask
     far = moving & np.isinf(d)
     unfactored = moving & ((steps == UNREACHED) | (steps > np.ceil(d)))

@@ -125,10 +125,11 @@ def natural_leq_matrix(monoid):
     return leq
 
 
-def row_blocks(n):
-    """Index arrays of consecutive rows of an n-column table, about 2**14
-    entries a block, so that a row-wise sweep holds no N x N temporary."""
-    step = max(1, (1 << 14) // n)
+def row_blocks(n, width=None):
+    """Index arrays of consecutive rows of an n-row table of ``width``
+    columns (n by default), about 2**14 entries a block, so that a row-wise
+    sweep holds no N x N temporary."""
+    step = max(1, (1 << 14) // (n if width is None else max(width, 1)))
     return [np.arange(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
@@ -158,12 +159,27 @@ def generating_set(product):
     a property closed under the product holds on S iff it holds on G, and
     the least element failing it is in G: an element not kept lies in the
     closure of smaller kept ones.
+
+    The closure grows in one pass, as ``mulclose`` of the kept elements
+    would build it: when s is kept, the old members need only the product
+    by s, and each new member the product by every kept element.
     """
-    kept, reached = [], frozenset()
-    for s in range(product.shape[0]):
-        if s not in reached:
-            kept.append(s)
-            reached = mulclose(product, kept)
+    member = np.zeros(product.shape[0], dtype=bool)
+    kept = []
+    while not member.all():
+        s = int(np.argmin(member))  # the least element outside the closure
+        kept.append(s)
+        seeds = np.array(kept)
+        reached = np.zeros_like(member)
+        reached[product[np.flatnonzero(member), s]] = True
+        reached[s] = True
+        while True:
+            fresh = np.flatnonzero(reached & ~member)
+            if not fresh.size:
+                break
+            member[fresh] = True
+            reached = np.zeros_like(member)
+            reached[product[np.ix_(fresh, seeds)]] = True
     return tuple(kept)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .cayley import symmetric_quasi_generators, word_successors
 from .errors import ValidationError
-from .extmetric import ExtendedMetric, all_pairs_bfs, successor_array
+from .extmetric import ExtendedMetric, all_pairs_bfs, first_increase, successor_array
 from .report import Violation
 
 
@@ -126,10 +126,8 @@ class MetricPresheaf:
         successors = successor_array(m, *np.divmod(key, m))
         metric = all_pairs_bfs(successors)
         for e in range(k):
-            pts = np.flatnonzero(proj == e)
-            if pts.size and np.any(
-                ~np.isfinite(metric.table[np.ix_(pts, pts)])
-            ):
+            comp = metric.label[proj == e]
+            if np.any(comp != comp[:1]):
                 raise ValidationError(
                     f"fiber {e} is disconnected", witness=(int(e),)
                 )
@@ -186,15 +184,12 @@ def validate_presheaf(p):
     for e in range(k):
         if e not in present:
             out.append(Violation("surjective", (e,), "empty fiber"))
-    table = p.metric.table
     for e in range(k):
         pts = np.flatnonzero(proj == e)
-        sub = table[np.ix_(pts, pts)]
         for f in range(k):
-            rx = restrict[pts, f]
-            res = table[np.ix_(rx, rx)]
-            bad = np.argwhere(res > sub)
-            for i, j in bad[:1]:
+            bad = first_increase(p.metric, pts, restrict[pts, f])
+            if bad is not None:
+                i, j = bad
                 out.append(
                     Violation(
                         "monotone",

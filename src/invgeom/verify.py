@@ -27,6 +27,7 @@ from .action import (
 )
 from .cayley import cayley_metric, symmetrize, word_distances
 from .errors import InvgeomError
+from .extmetric import class_pairs
 from .geometry import (
     extract_generators,
     orbit_inequalities,
@@ -68,29 +69,28 @@ def check_edge_pairing(monoid):
     return CheckResult("edge-pairing", True, data={"edges_checked": checked})
 
 
-def check_word_metric_agreement(monoid, gens, metric_table):
+def check_word_metric_agreement(monoid, gens, metric):
     """Word search over M agrees with word search over M and E(S) on L-pairs.
 
     Both searches run the shared breadth-first kernel from every element
     over unrestricted left multiplication, one without and one with the
-    idempotent letters.  The per-L-class path metric ``metric_table`` runs
-    the same kernel on a different graph, its Schützenberger graphs, and
-    must match them.  They agree on every validated table (the proof is
-    in ``cayley_metric``).
+    idempotent letters.  The per-L-class path metric ``metric`` runs the
+    same kernel on a different graph, its Schützenberger graphs, and must
+    match them.  They agree on every validated table (the proof is in
+    ``cayley_metric``).
     """
     sym = symmetrize(monoid, gens)
     with_idem = sorted(set(sym) | set(monoid.idempotents))
-    dom = monoid.dom_table
-    same = dom[:, None] == dom[None, :]
-    pure = word_distances(monoid, sym)
+    t, s = class_pairs(monoid.dom_table)  # sources t, in row-major order
+    pure = word_distances(monoid, sym)[t, s]
     others = (
-        (word_distances(monoid, with_idem), {}),
-        (metric_table.T, {"against": "path-metric"}),
+        (word_distances(monoid, with_idem)[t, s], {}),
+        (metric.distances(s, t, fill=math.inf), {"against": "path-metric"}),
     )
     for other, data in others:
-        bad = np.argwhere(same & (pure != other))  # rows are sources t
+        bad = np.flatnonzero(pure != other)
         if bad.size:
-            t, s = bad[0]
+            t, s = t[bad[0]], s[bad[0]]
             return CheckResult(
                 "word-metric-agreement", False, witness=(int(s), int(t)), data=data
             )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from invgeom import PartialBijection, cayley_self_action, symmetric_inverse_monoid
+from invgeom.extmetric import ExtendedMetric, bfs, classes, narrow
 
 
 def enumerate_partial_bijections(n):
@@ -36,6 +37,37 @@ def read_metric_file(path):
     size = data["size"]
     rows = [[math.inf if v is None else v for v in row] for row in data["rows"]]
     return np.array(rows, dtype=np.float64).reshape(size, size)
+
+
+def dense(metric):
+    """The N x N float64 table of a metric, inf across components."""
+    out = np.full((metric.size, metric.size), math.inf)
+    for c, pts in enumerate(metric.points):
+        out[np.ix_(pts, pts)] = metric.block(c)
+    return out
+
+
+def dense_bfs(succ):
+    """The path metric of a symmetric successor array as one N x N table,
+    by a search from every vertex at once, inf where none reaches."""
+    level = bfs(succ, np.arange(len(succ))).astype(np.float64)
+    level[level < 0] = math.inf
+    return level
+
+
+def block_metric(table):
+    """The metric of an N x N table, with -1 or inf across components.
+
+    The finite pairs must be the pairs of classes of a partition."""
+    table = np.asarray(table, dtype=np.float64)
+    finite = np.isfinite(table) & (table >= 0)
+    least = finite.argmax(axis=1)
+    label = np.searchsorted(np.flatnonzero(least == np.arange(len(table))), least)
+    assert np.array_equal(finite, label[:, None] == label[None, :]), "not a partition"
+    points = classes(label)
+    blocks = [table[np.ix_(pts, pts)].ravel() for pts in points]
+    flat = np.concatenate([np.zeros(0), *blocks]).astype(np.int64)
+    return ExtendedMetric(label, points, narrow(flat))
 
 
 def qi_bounds_hold(report, mapped, da, db):

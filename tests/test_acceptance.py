@@ -36,7 +36,12 @@ from invgeom.action import _qualifying, coset_cover_holds
 from invgeom.families import chain_semilattice, cyclic_group_table
 from invgeom.verify import check_edge_pairing
 
-from conftest import enumerate_partial_bijections, qi_bounds_hold, transposition_indices
+from conftest import (
+    dense,
+    enumerate_partial_bijections,
+    qi_bounds_hold,
+    transposition_indices,
+)
 
 EXPECTED_ORDERS = {1: 2, 2: 7, 3: 34, 4: 209, 5: 1546}
 
@@ -84,7 +89,7 @@ def test_criterion_2_word_metric_without_idempotents(n, request):
     gens = transposition_indices(m, n)
     sym = symmetrize(m, gens)
     with_idem = sorted(set(sym) | set(m.idempotents))
-    table = cayley_metric(m, gens).metric.table
+    table = dense(cayley_metric(m, gens).metric)
     dom = m.dom_table
     pairs = 0
     pure_from, mixed_from = word_distances(m, sym), word_distances(m, with_idem)
@@ -129,7 +134,7 @@ def test_criterion_5_generation_pipeline_i3(i3, i3_transpositions, i3_action):
     qi = orbit_map_qi(i3_action, x1, word)  # finiteness inside
     assert qi.mult >= 1 and qi.add >= 0
     assert qi.order_preserving is True
-    table = i3_action.presheaf.metric.table
+    table = dense(i3_action.presheaf.metric)
     for cert in extraction.certificates:
         s = cert.element
         d = table[i3_action.apply(x1, s), i3_action.apply(x1, i3.dom(s))]
@@ -164,7 +169,7 @@ def test_criterion_7_rips_embedding_bounds(radius, i3, i3_transpositions, i3_act
     word = cayley_metric(i3, i3_transpositions)
     both = qi_constants(np.arange(i3.order), rips.metric, word.metric)
     assert both.mult < math.inf and both.add < math.inf
-    assert qi_bounds_hold(both, np.arange(i3.order), rips.metric.table, word.metric.table)
+    assert qi_bounds_hold(both, np.arange(i3.order), dense(rips.metric), dense(word.metric))
     report(
         7,
         f"R={radius}: subdivision and Lipschitz bounds exact; "
@@ -196,7 +201,7 @@ def test_criterion_9_basepoint_shift_product_example():
     gens = (2 * 3 + 1, 2 * 3 + 2)
     action = cayley_self_action(m, gens)
     y1 = m.identity
-    table = action.presheaf.metric.table
+    table = dense(action.presheaf.metric)
     shifts = 0
     for z1 in action.identity_fiber():
         d = int(table[y1, z1])
@@ -216,7 +221,7 @@ def test_criterion_10_product_example_validators():
     assert validate_presheaf(presheaf) == []
     action = cayley_self_action(m, gens)
     assert validate_action(action) == []
-    table = presheaf.metric.table
+    table = dense(presheaf.metric)
     for e in range(presheaf.base.size):
         pts = np.array(presheaf.fiber(e))
         for f in range(presheaf.base.size):

@@ -21,6 +21,8 @@ from invgeom.action import _qualifying, coset_cover_holds
 from invgeom.families import build_example, cyclic_group_table
 from invgeom.report import Violation
 
+from conftest import dense
+
 
 def elt(monoid, *image):
     target = tuple(image)
@@ -75,7 +77,7 @@ def test_stranded_and_half_rotation_actions_valid():
 
 def test_tampered_action_reports_lipschitz(i3, i3_transpositions, i3_action):
     p = i3_action.presheaf
-    table = p.metric.table
+    table = dense(p.metric)
     units = [s for s in range(i3.order) if i3.dom(s) == i3.identity]
     u, v = units[0], None
     for cand in units[1:]:
@@ -123,7 +125,7 @@ def sweep_every_element(a):
     for s in range(n):
         for x in np.flatnonzero(proj[act[:, s]] != conj[proj, s])[:1]:
             out.append(Violation("fiber-preservation", (int(x), s)))
-    table = p.metric.table
+    table = dense(p.metric)
     for i in range(len(idem)):
         pts = np.flatnonzero(proj == i)
         sub = table[np.ix_(pts, pts)]
@@ -185,7 +187,7 @@ def test_tampered_identity_column_outside_generators(i3, i3_transpositions):
     assert monoid.identity not in monoid.generating_set
     action = cayley_self_action(monoid, tuple(int(new[t]) for t in i3_transpositions))
     assert validate_action(action) == []
-    table = action.presheaf.metric.table
+    table = dense(action.presheaf.metric)
     one = monoid.identity
     units = [s for s in range(monoid.order) if monoid.dom(s) == one]
     u = units[0]
@@ -256,7 +258,7 @@ def test_coboundedness_requires_identity_fiber(i2, i2_action):
 
 
 def test_displacement_always_finite(i3, i3_action):
-    table = i3_action.presheaf.metric.table
+    table = dense(i3_action.presheaf.metric)
     x1 = i3.identity
     for s in range(i3.order):
         a = i3_action.apply(x1, s)

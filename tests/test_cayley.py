@@ -14,7 +14,7 @@ from invgeom import (
 from invgeom.cayley import quasi_generation_witness, word_successors
 from invgeom.families import chain_semilattice, cyclic_group_table
 
-from conftest import transposition_indices
+from conftest import block_metric, dense, transposition_indices
 
 
 def elt(monoid, *image):
@@ -80,7 +80,7 @@ def test_cayley_metric_examples(i2, i2_swap):
     e0 = elt(i2, 0, None)
     a = elt(i2, 1, None)
     assert d.dist(e0, a) == 1
-    assert math.isinf(d.table[i2.identity, e0])
+    assert math.isinf(d.dist(i2.identity, e0))
     assert {frozenset(c) for c in cm.components} == {
         frozenset(c) for c in i2.lclasses
     }
@@ -107,7 +107,7 @@ def test_word_metric_agreement_oracle(fixture, gens_fixture, request):
     gens = (gens,) if isinstance(gens, int) else gens
     sym = symmetrize(m, gens)
     with_idem = sorted(set(sym) | set(m.idempotents))
-    table = cayley_metric(m, gens).metric.table
+    table = dense(cayley_metric(m, gens).metric)
     pure_from, mixed_from = word_distances(m, sym), word_distances(m, with_idem)
     for t in range(m.order):
         pure, mixed = pure_from[t], mixed_from[t]
@@ -119,18 +119,18 @@ def test_word_metric_agreement_oracle(fixture, gens_fixture, request):
 def test_word_metric_agreement_catches_tampered_metric(i3, i3_transpositions):
     from invgeom.verify import check_word_metric_agreement
 
-    table = np.array(cayley_metric(i3, i3_transpositions).metric.table)
-    assert check_word_metric_agreement(i3, i3_transpositions, table).passed
+    table = np.array(dense(cayley_metric(i3, i3_transpositions).metric))
+    assert check_word_metric_agreement(i3, i3_transpositions, block_metric(table)).passed
     s, t = np.argwhere(np.isfinite(table) & (table > 0))[5]
     table[s, t] += 1
-    result = check_word_metric_agreement(i3, i3_transpositions, table)
+    result = check_word_metric_agreement(i3, i3_transpositions, block_metric(table))
     assert not result.passed
     assert result.witness == (s, t)
     assert result.data == {"against": "path-metric"}
 
 
 def test_right_subinvariance_exhaustive(i2, i2_swap):
-    table = cayley_metric(i2, [i2_swap]).metric.table
+    table = dense(cayley_metric(i2, [i2_swap]).metric)
     for s in range(i2.order):
         for t in range(i2.order):
             for x in range(i2.order):
@@ -138,7 +138,7 @@ def test_right_subinvariance_exhaustive(i2, i2_swap):
 
 
 def test_uniform_discreteness(i3, i3_transpositions):
-    table = cayley_metric(i3, i3_transpositions).metric.table
+    table = dense(cayley_metric(i3, i3_transpositions).metric)
     off = table[~np.eye(i3.order, dtype=bool)]
     assert off[np.isfinite(off)].min() >= 1
 

@@ -290,6 +290,38 @@ def test_verify_leaves_numpy_ma_unimported(tmp_path):
         assert out.stdout.splitlines()[-1] == "False", args[0]
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads read from /proc")
+def test_the_cli_runs_on_one_thread(tmp_path):
+    # as `python -m invgeom.cli verify ...`, then the process's thread count
+    # and the OpenBLAS setting it ran with
+    assert main(["examples", "emit", "i2", "--out-dir", str(tmp_path)]) == 0
+    argv = ["invgeom", "verify", "--input", str(tmp_path / "i2.action.json")]
+    code = (
+        "import os, runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('invgeom.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    src = str(Path(invgeom.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    for setting, expected in ((None, "1 1"), ("3", "3")):
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**env, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        last = out.stdout.splitlines()[-1]
+        if setting is None:
+            assert last == expected
+        else:
+            # the caller's value is kept, whatever threads it starts
+            assert last.split()[1] == expected
+
+
 # The names the package exported when its __init__ imported every layer.
 PACKAGE_EXPORTS = {
     "action": "EtaleAction cayley_self_action check_theta_isometry"

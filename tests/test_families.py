@@ -17,7 +17,7 @@ from invgeom import (
 from invgeom.cayley import quasi_generation_witness
 from invgeom.families import chain_semilattice, cyclic_group_table
 
-from conftest import enumerate_partial_bijections
+from conftest import dense, enumerate_partial_bijections
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -84,7 +84,7 @@ def test_restriction_maps_between_fibers_are_isometries():
     m = semilattice_times_group(chain_semilattice(3), cyclic_group_table(3))
     gens = (2 * 3 + 1, 2 * 3 + 2)
     p = cayley_presheaf(m, gens)
-    table = p.metric.table
+    table = dense(p.metric)
     for e in range(p.base.size):
         pts = np.array(p.fiber(e))
         for f in range(p.base.size):

@@ -7,7 +7,6 @@ import pytest
 from invgeom import (
     INFINITE,
     EtaleAction,
-    ExtendedMetric,
     PreconditionError,
     RipsGraph,
     cayley_metric,
@@ -27,12 +26,11 @@ from invgeom import (
     validate_metric_predicates,
 )
 from invgeom.action import coset_cover_holds
-from invgeom.extmetric import metric_from_int_table
 from invgeom.families import chain_semilattice, cyclic_group_table
 from invgeom.report import Violation
 from invgeom.verify import run_verification
 
-from conftest import qi_bounds_hold
+from conftest import block_metric, dense, qi_bounds_hold
 from test_action import half_rotation_action
 
 
@@ -55,7 +53,7 @@ def test_extract_generators_i2(i2, i2_swap, i2_action):
     # with threshold 1 every element of I2 qualifies
     assert ex.generators == tuple(range(i2.order))
     assert set(i2.idempotents) <= set(ex.generators)
-    table = i2_action.presheaf.metric.table
+    table = dense(i2_action.presheaf.metric)
     for cert in ex.certificates:
         s = cert.element
         d = table[i2_action.apply(x1, s), i2_action.apply(x1, i2.dom(s))]
@@ -131,8 +129,8 @@ def test_orbit_map_qi_rejects_a_map_that_breaks_finiteness(i3, i3_transpositions
     # x1.s moves to another fiber, away from x1.dom(s) in s's L-class
     act[x1, s] = next(y for y in range(p.num_points) if p.proj[y] != p.proj[act[x1, s]])
     bent = EtaleAction(monoid=i3, presheaf=p, act=act)
-    fin_w = np.isfinite(word.metric.table)
-    fin_x = np.isfinite(p.metric.table[np.ix_(act[x1], act[x1])])
+    fin_w = np.isfinite(dense(word.metric))
+    fin_x = np.isfinite(dense(p.metric)[np.ix_(act[x1], act[x1])])
     expected = tuple(int(i) for i in np.argwhere(fin_w != fin_x)[0])
     with pytest.raises(PreconditionError, match="does not preserve finiteness") as exc:
         orbit_map_qi(bent, x1, word)
@@ -190,7 +188,7 @@ def test_rips_radius_zero_with_collapsed_orbit():
 
 def test_rips_large_radius_completes_lclasses(i2, i2_swap, i2_action):
     rips = rips_graph(i2_action, i2.identity, 10)
-    table = rips.metric.table
+    table = dense(rips.metric)
     for s in range(i2.order):
         for t in range(i2.order):
             expected = (
@@ -242,10 +240,12 @@ def test_metric_predicates_rips(i3, i3_transpositions, i3_action):
 
 def test_metric_predicates_catch_wrong_components(i2, i2_swap):
     cm = cayley_metric(i2, [i2_swap])
-    bad = np.array(cm.metric.table)
+    bad = dense(cm.metric)
     e0 = elt(i2, 0, None)
-    bad[i2.identity, e0] = bad[e0, i2.identity] = 5.0
-    report = validate_metric_predicates(i2, metric_from_int_table(bad))
+    # one component across the L-classes of the identity and of e0
+    a, b = (cm.metric.points[cm.metric.label[x]] for x in (i2.identity, e0))
+    bad[np.ix_(a, b)] = bad[np.ix_(b, a)] = 5.0
+    report = validate_metric_predicates(i2, block_metric(bad))
     assert not report.components.passed
     assert report.components.witness is not None
 
@@ -286,13 +286,13 @@ def test_qi_constants_identity(i3, i3_transpositions):
     report = qi_constants(np.arange(i3.order), cm.metric, cm.metric)
     assert report.mult == 1 and report.add == 0
     assert report.coarse_radius == 0
-    assert qi_bounds_hold(report, np.arange(i3.order), cm.metric.table, cm.metric.table)
+    assert qi_bounds_hold(report, np.arange(i3.order), dense(cm.metric), dense(cm.metric))
 
 
 def test_qi_constants_rejects_finiteness_mismatch(i2, i2_swap):
     cm = cayley_metric(i2, [i2_swap])
     collapse = np.zeros(i2.order, dtype=int)  # everything to one point
-    single = metric_from_int_table([[0] * i2.order for _ in range(i2.order)])
+    single = block_metric([[0] * i2.order for _ in range(i2.order)])
     with pytest.raises(PreconditionError, match="finiteness"):
         qi_constants(collapse, cm.metric, single)
 
@@ -320,10 +320,11 @@ def _rips_bounds_oracle(a, x1, rips):
     """The bounds of ``rips_embedding_bounds`` as one Fraction test per pair."""
     r, step = rips.radius, math.floor(rips.radius)
     orbit = np.asarray(a.act[x1, :], dtype=np.intp)
-    fiber_d = a.presheaf.metric.table[np.ix_(orbit, orbit)]
+    fiber_d = dense(a.presheaf.metric)[np.ix_(orbit, orbit)]
+    rips_d = dense(rips.metric)
     out = []
     for s, t in np.argwhere(np.isfinite(fiber_d)).tolist():
-        d, dr = int(fiber_d[s, t]), rips.metric.table[s, t]
+        d, dr = int(fiber_d[s, t]), rips_d[s, t]
         if math.isinf(dr):
             out.append(Violation("rips-finite", (s, t),
                                  "orbit distance finite but Rips distance infinite"))
@@ -342,11 +343,12 @@ def _rips_bounds_oracle(a, x1, rips):
 def test_rips_embedding_bounds_match_the_fraction_oracle(i3, i3_action, radius):
     x1 = i3.identity
     rips = rips_graph(i3_action, x1, radius)
-    table = rips.metric.table
+    table = dense(rips.metric)
     rng = np.random.default_rng(3)
     finite = np.argwhere(np.isfinite(table))
     # every Rips value from 0 to 6 at a few pairs crosses each bound's edge
-    tampers = [None] + [
+    # every distance tripled: findings in every component, in row-major order
+    tampers = [None, "tripled"] + [
         (s, t, value)
         for s, t in finite[rng.choice(len(finite), 4, replace=False)]
         for value in (INFINITE, *range(7))
@@ -355,11 +357,18 @@ def test_rips_embedding_bounds_match_the_fraction_oracle(i3, i3_action, radius):
     kinds = set()
     for tamper in tampers:
         metric = np.array(table)
-        if tamper is not None:
+        if tamper == "tripled":
+            metric *= 3
+        elif tamper is not None:
             s, t, value = tamper
-            metric[s, t] = value
+            if value == INFINITE:
+                # s alone in its component, infinitely far from t
+                metric[s, :] = metric[:, s] = INFINITE
+                metric[s, s] = 0
+            else:
+                metric[s, t] = value
         bent = RipsGraph(radius=rips.radius, successors=rips.successors,
-                         metric=ExtendedMetric(metric))
+                         metric=block_metric(metric))
         found = rips_embedding_bounds(i3_action, x1, bent)
         assert found == _rips_bounds_oracle(i3_action, x1, bent), tamper
         kinds |= {v.check for v in found}
@@ -376,7 +385,7 @@ def _subinvariance_violations(monoid, table):
 
 
 def test_right_subinvariance_over_generators_matches_all_x(i3, i3_transpositions):
-    table = cayley_metric(i3, i3_transpositions).metric.table
+    table = dense(cayley_metric(i3, i3_transpositions).metric)
     gens = set(i3.generating_set)
     rng = np.random.default_rng(0)
     finite = np.argwhere(np.isfinite(table) & (table > 0))
@@ -385,7 +394,7 @@ def test_right_subinvariance_over_generators_matches_all_x(i3, i3_transpositions
         s, u = finite[rng.integers(len(finite))]
         bent = np.array(table)
         bent[s, u] -= 1
-        check = validate_metric_predicates(i3, ExtendedMetric(bent)).right_subinvariance
+        check = validate_metric_predicates(i3, block_metric(bent)).right_subinvariance
         violators = _subinvariance_violations(i3, bent)
         assert check.passed == (not violators)
         if violators:
@@ -427,7 +436,7 @@ def test_rips_vs_word_qi_finite(i3, i3_transpositions, i3_action):
         report = qi_constants(np.arange(i3.order), rips.metric, cm.metric)
         assert report.mult >= 1 and report.add >= 0
         assert qi_bounds_hold(
-            report, np.arange(i3.order), rips.metric.table, cm.metric.table
+            report, np.arange(i3.order), dense(rips.metric), dense(cm.metric)
         )
 
 

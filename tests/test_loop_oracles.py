@@ -20,6 +20,7 @@ from invgeom import (
     build_example,
     cayley_metric,
     cayley_self_action,
+    check_theta_isometry,
     coboundedness_constant,
     extract_generators,
     from_table,
@@ -38,11 +39,13 @@ from invgeom.errors import (
     TheoremViolationError,
     ValidationError,
 )
-from invgeom.extmetric import UNREACHED, bfs, metric_from_int_table, trace_paths
+from invgeom.extmetric import UNREACHED, bfs, trace_paths
 from invgeom.geometry import QI_LADDER, GenerationCertificate, _shortest_words
 from invgeom.monoid import _inverse_table, mulclose
 from invgeom.report import CheckResult, Violation
 from invgeom.verify import check_edge_pairing
+
+from conftest import block_metric, dense
 
 EXAMPLES = ("trivial", "i1", "i2", "i3", "i4", "chain2_z2", "chain3_z3")
 CASES = [(name, None) for name in EXAMPLES] + [
@@ -153,7 +156,7 @@ def extract_generators_loop(a, x1, t):
             f"action is not {t}-cobounded from basepoint {x1} (constant: {cb})"
         )
     threshold = 2 * t + 1
-    table = p.metric.table
+    table = dense(p.metric)
     orbit = act[x1, :]
     dom = mon.dom_table
     displacement = table[orbit, orbit[dom]]
@@ -222,7 +225,7 @@ def shortest_words_loop(monoid, letters, within_class=False, limit=None):
 def properness_loop(monoid, metric):
     """The properness check and derived F1 of validate_metric_predicates."""
     n = monoid.order
-    t = metric.table
+    t = dense(metric)
     product = monoid.product
     xs, ys = np.nonzero(np.isfinite(t) & ~np.eye(n, dtype=bool))
     factors = product[ys, monoid.inverse[xs]]
@@ -302,8 +305,8 @@ def inverse_table_loop(product):
 
 def qi_ladder_loop(mapped, da, db):
     """The (L, C) of qi_constants, one ladder step at a time."""
-    a = da.table
-    b = db.table[np.ix_(mapped, mapped)]
+    a = dense(da)
+    b = dense(db)[np.ix_(mapped, mapped)]
     fin = np.isfinite(a)
     av, bv = a[fin], b[fin]
     best = None
@@ -329,8 +332,8 @@ def orbit_inequalities_loop(a, x1, word):
     mon, p = a.monoid, a.presheaf
     orbit = a.act[x1, :]
     dom = mon.dom_table
-    disp = p.metric.table[orbit, orbit[dom]]
-    length = word.metric.table[np.arange(mon.order), dom]
+    disp = dense(p.metric)[orbit, orbit[dom]]
+    length = dense(word.metric)[np.arange(mon.order), dom]
     words = shortest_words_loop(mon, word.generators, within_class=True)
     out = []
     for s in range(mon.order):
@@ -428,11 +431,20 @@ def test_factor_counts_match_the_loop(name, seed):
         metrics = [metric]
         n = monoid.order
         for _ in range(6 if n > 1 else 0):
-            table = np.array(metric.table)
+            table = dense(metric)
             x, y = (int(v) for v in rng.integers(n, size=2))
-            table[x, y] = table[y, x] = rng.choice([1, 2, 3, -1])
-            table[np.isinf(table)] = -1
-            metrics.append(metric_from_int_table(table))
+            value = rng.choice([1, 2, 3, -1])
+            if value < 0:
+                # x alone in its component
+                table[x, :] = table[:, x] = np.inf
+                table[x, x] = 0
+            elif metric.label[x] == metric.label[y]:
+                table[x, y] = table[y, x] = value
+            else:
+                # x and y at that distance, their components joined at it
+                a, b = (metric.points[metric.label[v]] for v in (x, y))
+                table[np.ix_(a, b)] = table[np.ix_(b, a)] = value
+            metrics.append(block_metric(table))
         for m in metrics:
             report = validate_metric_predicates(monoid, m)
             proper, f1 = properness_loop(monoid, m)
@@ -488,6 +500,43 @@ def test_orbit_checks_match_the_loops(name, seed):
         assert (qi.mult, qi.add) == expected
 
 
+def theta_loop(a, s, table):
+    """check_theta_isometry over ``table``, the presheaf's dense N x N table."""
+    p = a.presheaf
+    domain = np.flatnonzero(np.bincount(p.restrict[:, a.base_of[a.monoid.ran(s)]]))
+    images = a.act[domain, s]
+    bad = np.argwhere(table[np.ix_(domain, domain)] != table[np.ix_(images, images)])
+    if not bad.size:
+        return True, None
+    return False, (int(domain[bad[0][0]]), int(domain[bad[0][1]]), s)
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_theta_matches_the_dense_sweep(name, seed):
+    # one and two act entries changed, so mismatches of finite distances
+    # and of finiteness both occur, in several components
+    action = example(name, seed)[2]
+    once = list(act_tampers(action, 6, seed=12))
+    twice = [next(act_tampers(a, 1, seed=13), a) for a in once]
+    table = dense(action.presheaf.metric)
+    for a in [action, *once, *twice]:
+        for s in range(a.monoid.order):
+            assert check_theta_isometry(a, s) == theta_loop(a, s, table), s
+    # by the identity: point 0's image moved within its component, a
+    # distance mismatch, and the last point's image into a component
+    # whose least point is above 0, a finiteness mismatch after it
+    metric, e = action.presheaf.metric, action.monoid.identity
+    comps = metric.points
+    home, last = comps[metric.label[0]], action.presheaf.num_points - 1
+    away = [c for c in comps if c[0] > 0 and metric.label[last] != metric.label[c[0]]]
+    if home.size > 1 and away:
+        act = np.array(action.act)
+        act[0, e], act[last, e] = home[1], away[0][0]
+        bent = dataclasses.replace(action, act=act)
+        assert check_theta_isometry(bent, e) == theta_loop(bent, e, table)
+        assert not check_theta_isometry(bent, e)[0]
+
+
 def levels_loop(succ, source, limit):
     """Plain breadth-first search from one source."""
     level = {source: 0}
@@ -541,9 +590,10 @@ def test_qi_ladder_matches_the_loop_on_random_tables(seed):
     # residuals from both sides of the affine bound, and ties between steps
     rng = np.random.default_rng(seed)
     n = 12
-    a, b = (rng.integers(0, 9, size=(n, n)) for _ in range(2))
-    a[rng.random((n, n)) < 0.2] = -1
-    b[a < 0] = -1
-    da, db = metric_from_int_table(a), metric_from_int_table(b)
+    # the same few components in both metrics, with random distances
+    label = rng.integers(0, 4, size=n)
+    same = label[:, None] == label[None, :]
+    a, b = (np.where(same, rng.integers(0, 9, size=(n, n)), -1) for _ in range(2))
+    da, db = block_metric(a), block_metric(b)
     qi = qi_constants(np.arange(n), da, db)
     assert (qi.mult, qi.add) == qi_ladder_loop(np.arange(n), da, db)

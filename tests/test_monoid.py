@@ -21,7 +21,13 @@ from invgeom import (
     trivial_monoid,
 )
 from invgeom import monoid as monoid_module
-from invgeom.families import build_example, symmetric_inverse_generators
+from invgeom.families import (
+    build_example,
+    chain_semilattice,
+    cyclic_group_table,
+    semilattice_times_group,
+    symmetric_inverse_generators,
+)
 from invgeom.monoid import (
     Elements,
     _check_associativity,
@@ -610,6 +616,40 @@ def test_generating_set_generates(i3, i4):
         for k, g in enumerate(gens):
             assert g not in mulclose(m.product, gens[:k])
     assert trivial_monoid().generating_set == (0,)
+
+
+def generating_set_loop(product):
+    """The greedy scan, closing the kept elements again from scratch each time."""
+    kept, reached = [], frozenset()
+    for s in range(product.shape[0]):
+        if s not in reached:
+            kept.append(s)
+            reached = mulclose(product, kept)
+    return tuple(kept)
+
+
+@pytest.mark.parametrize("name", ["i3", "i4", "chain", "i5"])
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_generating_set_matches_the_greedy_loop(name, seed):
+    if name == "chain":
+        m = semilattice_times_group(chain_semilattice(4), cyclic_group_table(60))
+    else:
+        m = build_example(name).monoid
+    product = m.product
+    if seed is not None:
+        perm = np.random.default_rng(seed).permutation(m.order)
+        product = np.empty_like(m.product)
+        product[perm[:, None], perm[None, :]] = perm[m.product]
+    assert generating_set(product) == generating_set_loop(product)
+
+
+def test_generating_set_matches_the_greedy_loop_on_random_tables():
+    # no associativity: the closure holds left-bracketed products only
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        table = rng.integers(0, n, size=(n, n))
+        assert generating_set(table) == generating_set_loop(table)
 
 
 def _bad_triple(product):

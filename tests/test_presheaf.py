@@ -15,6 +15,8 @@ from invgeom import (
 )
 from invgeom.extmetric import UNREACHED, bfs, trace_paths
 
+from conftest import dense
+
 
 def single_fiber_presheaf():
     base = Semilattice(meet=np.array([[0]]))
@@ -126,7 +128,7 @@ def test_tampered_restrict_reported(i2, i2_swap):
 
 def test_restriction_is_one_lipschitz(i3, i3_transpositions):
     p = cayley_presheaf(i3, i3_transpositions)
-    table = p.metric.table
+    table = dense(p.metric)
     for e in range(p.base.size):
         pts = list(p.fiber(e))
         for f in range(p.base.size):
@@ -138,7 +140,7 @@ def test_restriction_is_one_lipschitz(i3, i3_transpositions):
 
 def test_shortest_path_is_unit_geodesic(i3, i3_transpositions):
     p = cayley_presheaf(i3, i3_transpositions)
-    table = p.metric.table
+    table = dense(p.metric)
     for e in range(p.base.size):
         pts = p.fiber(e)
         x = pts[0]

@@ -88,6 +88,6 @@ def test_every_accepted_product_table_pairs_edges_and_agrees(name):
             continue
         accepted += 1
         assert check_edge_pairing(m).passed
-        metric = cayley_metric(m, gens).metric.table
+        metric = cayley_metric(m, gens).metric
         assert check_word_metric_agreement(m, gens, metric).passed
     assert accepted >= 1  # the unmutated table
