@@ -14,9 +14,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .extmetric import class_pairs, first_increase, first_split
+from .extmetric import class_pairs, first_split
 from .monoid import row_blocks
-from .presheaf import MetricPresheaf, cayley_presheaf
+from .presheaf import MetricPresheaf, cayley_presheaf, column_firsts, fiber_increases
 from .report import Violation
 
 
@@ -87,17 +87,15 @@ def validate_action(a):
     """
     out = []
     mon, p, act = a.monoid, a.presheaf, a.act
-    idem = mon.idempotents
-    for i, e in enumerate(idem):
-        bad = np.flatnonzero(act[:, e] != p.restrict[:, i])
-        for x in bad[:1]:
-            out.append(
-                Violation(
-                    "extends-restriction",
-                    (int(x), e),
-                    "idempotent does not act as restriction",
-                )
-            )
+    idem = np.array(mon.idempotents, dtype=np.intp)
+    out.extend(
+        Violation(
+            "extends-restriction",
+            (x, mon.idempotents[i]),
+            "idempotent does not act as restriction",
+        )
+        for x, i in column_firsts(act[:, idem] != p.restrict)
+    )
     product, gens = mon.product, mon.generating_set
     for s in gens:
         for rows in row_blocks(*act.shape):
@@ -105,39 +103,22 @@ def validate_action(a):
             if bad.any():
                 x, t = divmod(int(np.argmax(bad)), mon.order)
                 out.append(
-                    Violation(
-                        "action-law",
-                        (int(rows[x]), s, t),
-                        "(x.s).t != x.(st)",
-                    )
+                    Violation("action-law", (int(rows[x]), s, t), "(x.s).t != x.(st)")
                 )
                 break
-    proj, idem = p.proj, np.array(idem, dtype=np.intp)
-    for s in gens:
-        lhs = proj[act[:, s]]
-        rhs = a.base_of[product[product[mon.inv(s), idem], s]][proj]
-        bad = np.flatnonzero(lhs != rhs)
-        for x in bad[:1]:
-            out.append(
-                Violation(
-                    "fiber-preservation",
-                    (int(x), s),
-                    "p(x.s) != s^-1 p(x) s",
-                )
-            )
-    for i in range(len(idem)):
-        pts = np.flatnonzero(proj == i)
-        for s in gens:
-            bad = first_increase(p.metric, pts, act[pts, s])
-            if bad is not None:
-                bi, bj = bad
-                out.append(
-                    Violation(
-                        "lipschitz",
-                        (int(pts[bi]), int(pts[bj]), s),
-                        "action increased a fiber distance",
-                    )
-                )
+    # p(x.s) against s^-1 p(x) s, a column per s
+    g = np.array(gens, dtype=np.intp)
+    conjugate = a.base_of[product[product[mon.inverse[g][:, None], idem], g[:, None]]]
+    out.extend(
+        Violation("fiber-preservation", (x, gens[j]), "p(x.s) != s^-1 p(x) s")
+        for x, j in column_firsts(p.proj[act[:, g]] != conjugate[:, p.proj].T)
+    )
+    out.extend(
+        Violation(
+            "lipschitz", (x, y, gens[j]), "action increased a fiber distance"
+        )
+        for x, y, j in fiber_increases(p, act[:, g])
+    )
     return out
 
 

@@ -20,11 +20,10 @@ import numpy as np  # noqa: E402
 
 from . import families, fileio
 from .action import cayley_self_action
-from .cayley import cayley_metric, word_successors
+from .cayley import cayley_metric, symmetric_quasi_generators, word_successors
 from .errors import InvgeomError, ParseError
 from .geometry import orbit_map_qi, qi_constants, rips_graph
 from .monoid import natural_leq_matrix
-from .presheaf import cayley_presheaf
 from .report import checks_to_json, checks_to_text, jsonable
 from .verify import run_verification
 
@@ -135,10 +134,14 @@ def cmd_graph(args):
                 f"--component {anchor} out of range: the monoid has "
                 f"{monoid.order} elements"
             )
-        p = cayley_presheaf(monoid, gens)
-        e = int(p.proj[anchor])
-        name, vertices = f"fiber_{e}", p.fiber(e)
-        edges = sorted(edge for edge in p.edges if p.proj[edge[0]] == e)
+        sym = symmetric_quasi_generators(monoid, gens)
+        succ = word_successors(monoid, sym, within_class=True).tolist()
+        e = monoid.dom(anchor)
+        name = f"fiber_{monoid.idempotents.index(e)}"
+        vertices = np.flatnonzero(monoid.dom_table == e).tolist()
+        edges = sorted(
+            (s, t, g) for s in vertices for t, g in zip(succ[s], sym) if t != s
+        )
     else:
         act = _self_action(monoid, gens, action)
         rips = rips_graph(act, _basepoint(args, act), _radius(args))

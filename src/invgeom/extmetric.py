@@ -28,6 +28,7 @@ import numpy as np
 
 INFINITE = math.inf
 UNREACHED = -1  # unreached level, and the distance across components
+BLOCK_PAIRS = 1 << 16  # pairs per block of a sweep over a metric's finite pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,6 +39,7 @@ class ExtendedMetric:
     sizes: np.ndarray = field(init=False, repr=False)     # points per component
     position: np.ndarray = field(init=False, repr=False)  # index within its component
     offset: np.ndarray = field(init=False, repr=False)    # where each block starts
+    row_start: np.ndarray = field(init=False, repr=False)  # where each row starts
 
     def __post_init__(self):
         sizes = np.array([p.size for p in self.points], dtype=np.intp)
@@ -49,6 +51,8 @@ class ExtendedMetric:
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "offset", offset)
+        start = offset[self.label] + position * sizes[self.label]
+        object.__setattr__(self, "row_start", start)
 
     @property
     def size(self):
@@ -56,11 +60,9 @@ class ExtendedMetric:
 
     def dist(self, x, y):
         """Distance as an int, or math.inf across components."""
-        c = self.label[x]
-        if c != self.label[y]:
+        if self.label[x] != self.label[y]:
             return INFINITE
-        key = self.offset[c] + self.position[x] * self.sizes[c] + self.position[y]
-        return int(self.table[key])
+        return int(self.table[self.row_start[x] + self.position[y]])
 
     def distances(self, x, y, fill=UNREACHED):
         """d(x, y) over broadcast index arrays, ``fill`` across components.
@@ -68,10 +70,9 @@ class ExtendedMetric:
         With the default fill the result has the table's integer dtype;
         with ``fill=INFINITE`` it is float64, exact on integers.
         """
-        c = self.label[x]
-        same = c == self.label[y]
-        key = self.offset[c] + self.position[x] * self.sizes[c] + self.position[y]
-        return np.where(same, self.table[np.where(same, key, 0)], fill)
+        same = self.label[x] == self.label[y]
+        key = np.where(same, self.row_start[x] + self.position[y], 0)
+        return np.where(same, self.table[key], fill)
 
     def among(self, pts):
         """d over pts x pts, one gather from a block when pts share a component."""
@@ -87,12 +88,28 @@ class ExtendedMetric:
         c = self.label[rows]
         width = self.sizes[c]
         x = np.repeat(rows, width)
-        # y is the k-th point of x's component
-        k = np.arange(x.size) - np.repeat(np.cumsum(width) - width, width)
+        # pair i is the k-th of its row, k = i - before, and y is the k-th
+        # point of x's component
+        before = np.cumsum(width) - width
+        i = np.arange(x.size)
         first = np.cumsum(self.sizes) - self.sizes
-        y = np.concatenate(self.points)[np.repeat(first[c], width) + k]
-        row = self.offset[c] + self.position[rows] * width
-        return x, y, self.table[np.repeat(row, width) + k]
+        y = np.concatenate(self.points)[i + np.repeat(first[c] - before, width)]
+        return x, y, self.table[i + np.repeat(self.row_start[rows] - before, width)]
+
+    def row_blocks(self):
+        """(x, y, d) as ``pairs`` gives them for every row, a block at a time.
+        Rows come component by component, increasing within each, so a
+        block's pairs are a run of ``table``, which ``d`` is, and each
+        component's are in row-major order.  A block holds under
+        BLOCK_PAIRS pairs beyond its first row's."""
+        rows = np.concatenate([np.zeros(0, dtype=np.intp), *self.points])
+        ends = np.cumsum(self.sizes[self.label[rows]])
+        cuts = np.arange(BLOCK_PAIRS, ends[-1] if ends.size else 0, BLOCK_PAIRS)
+        for block in np.split(rows, np.searchsorted(ends, cuts, "right")):
+            if block.size:
+                x, y, _ = self.pairs(block)
+                start = self.row_start[block[0]]
+                yield x, y, self.table[start : start + x.size]
 
     def block(self, c):
         """Component c's distances, rows and columns in ``points[c]`` order."""
@@ -319,14 +336,27 @@ def first_split(a, b):
     return x, int(np.argmax((a == a[x]) != (b == b[x])))
 
 
-def first_increase(metric, points, images):
-    """The least (i, j) with d(images[i], images[j]) > d(points[i], points[j]).
-
-    An infinite distance exceeds every finite one but not itself.  None
-    when no pair increases.
+def first_increases(metric, maps):
+    """Sorted (c, j, x, y) for each component c that column j of ``maps``
+    stretches: (x, y) is the least pair of c in row-major order with
+    d(maps[x, j], maps[y, j]) > d(x, y), infinity exceeding every finite
+    distance.  The pairs are read ``row_blocks`` at a time.
     """
-    before, after = metric.among(points), metric.among(images)
-    bad = (before != UNREACHED) & ((after == UNREACHED) | (after > before))
-    if not bad.any():
-        return None
-    return divmod(int(np.argmax(bad)), len(points))
+    maps = np.asarray(maps, dtype=np.intp).T
+    # d(gx, gy) sits in table at head[x] + tail[y] when gx and gy share a
+    # component; across components the label terms put the sum outside it
+    size = metric.table.size
+    head = metric.row_start[maps] + 2 * size * metric.label[maps]
+    tail = metric.position[maps] - 2 * size * metric.label[maps]
+    found = {}
+    for x, y, before in metric.row_blocks():
+        for j, (h, t) in enumerate(zip(head, tail)):
+            key = h.take(x) + t.take(y)
+            after = metric.table.take(key, mode="clip")
+            bad = np.flatnonzero((key < 0) | (key >= size) | (after > before))
+            if bad.size:
+                # each component's first in the block, unless an earlier block had one
+                firsts = np.unique(metric.label[x[bad]], return_index=True)[1]
+                for i in bad[firsts].tolist():
+                    found.setdefault((int(metric.label[x[i]]), j), (int(x[i]), int(y[i])))
+    return sorted((c, j, x, y) for (c, j), (x, y) in found.items())

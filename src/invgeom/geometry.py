@@ -22,7 +22,7 @@ from .extmetric import (
     all_pairs_bfs,
     bfs,
     classes,
-    first_increase,
+    first_increases,
     first_split,
     successor_array,
     trace_paths,
@@ -214,9 +214,8 @@ def qi_constants(mapped, da, db):
     # the residuals depend only on which distance pairs (x, y) occur
     width = db.max_finite() + 1
     seen = np.zeros((da.max_finite() + 1) * width, dtype=bool)
-    for c, pts in enumerate(da.points):
-        bv = db.distances(mapped[pts, None], mapped[pts])
-        seen[da.block(c).astype(np.int64) * width + bv] = True
+    for x, y, d in da.row_blocks():
+        seen[d.astype(np.int64) * width + db.distances(mapped[x], mapped[y])] = True
     x, y = np.divmod(np.flatnonzero(seen), width)
     p = np.array([[lad.numerator] for lad in QI_LADDER])
     q = np.array([[lad.denominator] for lad in QI_LADDER])
@@ -229,15 +228,14 @@ def qi_constants(mapped, da, db):
     ]
     # min keeps the first of equal residuals, so ties go to the least L
     best = min(range(len(QI_LADDER)), key=residual.__getitem__)
-    hit = np.zeros(db.size, dtype=bool)
-    hit[mapped] = True
-    radius = 0
-    for c, pts in enumerate(db.points):
-        reach = db.block(c)[hit[pts]]
-        if not reach.size:
-            radius = INFINITE
-            break
-        radius = max(radius, int(reach.min(axis=0).max()))
+    # each point's distance from the image, if that meets every component
+    hit = np.bincount(mapped, minlength=db.size) > 0
+    far = np.iinfo(db.table.dtype).max
+    near = np.full(db.size, far, dtype=db.table.dtype)
+    for x, y, d in db.row_blocks():
+        np.minimum.at(near, y, np.where(hit[x], d, far))
+    met = np.bincount(db.label[mapped], minlength=len(db.points)).all()
+    radius = int(near.max(initial=0)) if met else INFINITE
     return QiReport(
         mult=QI_LADDER[best],
         add=residual[best],
@@ -439,17 +437,13 @@ def validate_metric_predicates(monoid, metric, f1=None):
 def _check_pairs(monoid, metric):
     """Uniform discreteness and properness, and each factor's least distance.
 
-    The separation is the least distance off the diagonal of a block.
+    The separation is the least distance between distinct points.
     Properness sweeps the finite pairs of distinct points in row-major
     order, a few rows at a time: a pair (x, y) counts toward the least f
     with f x = y; the first pair with no such f fails, and only the pairs
     before it count.
     """
-    gaps = [
-        int(metric.block(c)[~np.eye(k, dtype=bool)].min())
-        for c, k in enumerate(metric.sizes.tolist())
-        if k > 1
-    ]
+    gaps = [int(d[x != y].min()) for x, y, d in metric.row_blocks() if (x != y).any()]
     gap = float(min(gaps)) if gaps else None
     uniform_discreteness = CheckResult(
         "uniformly-discrete",
@@ -494,16 +488,12 @@ def _check_right_subinvariance(monoid, metric):
     d(s x y, u x y) <= d(s x, u x) <= d(s, u), and every element is a
     product of the generating set.  A witness names an x of that set.
     """
-    for x in monoid.generating_set:
-        moved = monoid.product[:, x]
-        found = []
-        for pts in metric.points:
-            bad = first_increase(metric, pts, moved[pts])
-            if bad is not None:
-                found.append((int(pts[bad[0]]), int(pts[bad[1]])))
-        if found:
-            return CheckResult("right-subinvariant", False, witness=(*min(found), x))
-    return CheckResult("right-subinvariant", True)
+    gens = monoid.generating_set
+    found = first_increases(metric, monoid.product[:, list(gens)])
+    if not found:
+        return CheckResult("right-subinvariant", True)
+    j, x, y = min((j, x, y) for _, j, x, y in found)
+    return CheckResult("right-subinvariant", False, witness=(x, y, gens[j]))
 
 
 def _check_uniform_properness(monoid, metric, f1):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .cayley import symmetric_quasi_generators, word_successors
 from .errors import ValidationError
-from .extmetric import ExtendedMetric, all_pairs_bfs, first_increase, successor_array
+from .extmetric import ExtendedMetric, all_pairs_bfs, first_increases, successor_array
 from .report import Violation
 
 
@@ -32,18 +32,15 @@ class Semilattice:
             raise ValidationError(f"meet table is not square: {m.shape}")
         if m.min() < 0 or m.max() >= k:
             raise ValidationError("meet table entry out of range")
-        if not np.array_equal(m, m.T):
-            e, f = np.argwhere(m != m.T)[0]
-            raise ValidationError("meet not commutative", witness=(int(e), int(f)))
-        if not np.array_equal(np.diag(m), np.arange(k)):
-            e = int(np.argwhere(np.diag(m) != np.arange(k))[0][0])
-            raise ValidationError("meet not idempotent", witness=(e,))
-        for e in range(k):
-            if not np.array_equal(m[m[e, :], :], m[e, m]):
-                f, g = np.argwhere(m[m[e, :], :] != m[e, m])[0]
-                raise ValidationError(
-                    "meet not associative", witness=(e, int(f), int(g))
-                )
+        laws = (
+            ("commutative", m, m.T),  # ef against fe
+            ("idempotent", np.diag(m), np.arange(k)),  # ee against e
+            ("associative", m[m], m[:, m]),  # (ef)g against e(fg)
+        )
+        for law, lhs, rhs in laws:
+            bad = np.argwhere(lhs != rhs)
+            if bad.size:
+                raise ValidationError(f"meet not {law}", witness=tuple(bad[0].tolist()))
         return self
 
     def leq(self, e, f):
@@ -52,10 +49,9 @@ class Semilattice:
 
     def top(self):
         """The greatest element, or None if there is none."""
-        for e in range(self.size):
-            if all(self.leq(f, e) for f in range(self.size)):
-                return e
-        return None
+        # e is greatest iff fe = f for every f
+        top = np.flatnonzero(np.all(self.meet == np.arange(self.size)[:, None], axis=0))
+        return int(top[0]) if top.size else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,9 +82,11 @@ class MetricPresheaf:
     def build(cls, base, proj, restrict, edges):
         """Assemble a presheaf, rejecting cross-fiber or disconnected data.
 
-        Edges must join points of a common fiber, and every nonempty fiber
-        must be connected; violations raise ValidationError.  The full
-        axiom sweep lives in validate_presheaf.
+        ``edges`` are (u, v) or (u, v, label) tuples, or (u, v, label) rows
+        of an integer array.  Edges must join points of a common fiber, and
+        every nonempty fiber must be connected; violations raise
+        ValidationError, for the first bad edge given.  Loops and repeats
+        are dropped.  The full axiom sweep lives in validate_presheaf.
         """
         base.validate()
         proj = np.asarray(proj, dtype=np.int32)
@@ -103,44 +101,65 @@ class MetricPresheaf:
             raise ValidationError("projection value out of range")
         if m and (restrict.min() < 0 or restrict.max() >= m):
             raise ValidationError("restriction value out of range")
-        cleaned = []
-        seen = set()
-        for u, v, *rest in edges:
-            label = rest[0] if rest else None
-            if not (0 <= u < m and 0 <= v < m):
-                raise ValidationError(f"edge ({u},{v}) out of range")
-            if u == v:
-                continue
-            if proj[u] != proj[v]:
-                raise ValidationError(
-                    "edge joins different fibers", witness=(int(u), int(v))
-                )
-            if (u, v, label) in seen:
-                continue
-            seen.add((u, v, label))
-            cleaned.append((int(u), int(v), label))
-        u, v = (np.array([e[i] for e in cleaned], dtype=np.intp) for i in (0, 1))
+        if isinstance(edges, np.ndarray):
+            u, v, labels = np.asarray(edges, dtype=np.intp).reshape(-1, 3).T
+        else:
+            rows = np.array([(*edge, None)[:3] for edge in edges], dtype=object)
+            u, v, labels = rows.reshape(-1, 3).T
+            u, v = u.astype(np.intp), v.astype(np.intp)
+        inside = (0 <= u) & (u < m) & (0 <= v) & (v < m)
+        cross = u != v
+        cross[inside] &= proj[u[inside]] != proj[v[inside]]
+        bad = np.flatnonzero(~inside | cross)
+        if bad.size:
+            i = bad[0]
+            if not inside[i]:
+                raise ValidationError(f"edge ({u[i]},{v[i]}) out of range")
+            raise ValidationError(
+                "edge joins different fibers", witness=(int(u[i]), int(v[i]))
+            )
+        kept = u != v
+        u, v, labels = u[kept], v[kept], labels[kept]
         # both orientations as sorted, distinct keys u * m + v
         key = np.sort(np.concatenate([u * m + v, v * m + u]))
         key = key[np.diff(key, prepend=-1) != 0]
         successors = successor_array(m, *np.divmod(key, m))
         metric = all_pairs_bfs(successors)
-        for e in range(k):
-            comp = metric.label[proj == e]
-            if np.any(comp != comp[:1]):
-                raise ValidationError(
-                    f"fiber {e} is disconnected", witness=(int(e),)
-                )
+        # a fiber is connected iff all its points share one component
+        seen = np.zeros(k, dtype=np.intp)
+        seen[proj] = metric.label
+        split = proj[metric.label != seen[proj]]
+        if split.size:
+            e = int(split.min())
+            raise ValidationError(f"fiber {e} is disconnected", witness=(e,))
         proj.setflags(write=False)
         restrict.setflags(write=False)
         return cls(
             base=base,
             proj=proj,
             restrict=restrict,
-            edges=tuple(cleaned),
+            # the first of each (u, v, label), in input order
+            edges=tuple(dict.fromkeys(zip(u.tolist(), v.tolist(), labels.tolist()))),
             metric=metric,
             successors=successors,
         )
+
+
+def column_firsts(bad):
+    """(x, j) for each column j of a boolean table with a True entry, x its
+    least such row; by j."""
+    columns = np.flatnonzero(bad.any(axis=0))
+    return zip(bad.argmax(axis=0)[columns].tolist(), columns.tolist())
+
+
+def fiber_increases(p, maps):
+    """(x, y, j) for each fiber and each column j of ``maps`` that increases
+    a distance within it: the fiber's least such pair, by fiber, then j.
+    Every nonempty fiber is one component of the metric (``build``)."""
+    fiber = np.empty(len(p.metric.points), dtype=np.intp)
+    fiber[p.metric.label] = p.proj
+    found = sorted(first_increases(p.metric, maps), key=lambda f: (fiber[f[0]], f[1]))
+    return [(x, y, j) for _, j, x, y in found]
 
 
 def validate_presheaf(p):
@@ -153,50 +172,31 @@ def validate_presheaf(p):
     disconnected fiber.
     """
     out = []
-    m = p.num_points
-    k = p.base.size
     proj, restrict, meet = p.proj, p.restrict, p.base.meet
-    points = np.arange(m)
-    for e in range(k):
-        for f in range(k):
-            lhs = restrict[restrict[:, e], f]
-            rhs = restrict[:, meet[e, f]]
-            for x in np.flatnonzero(lhs != rhs)[:1]:
-                out.append(
-                    Violation(
-                        "axiom-1",
-                        (int(x), e, f),
-                        "(x.e).f != x.(ef)",
-                    )
-                )
+    points = np.arange(p.num_points)
+    for e in range(p.base.size):
+        # at (x, f): (x.e).f against x.(ef)
+        bad = restrict[restrict[:, e]] != restrict[:, meet[e]]
+        out.extend(
+            Violation("axiom-1", (x, e, f), "(x.e).f != x.(ef)")
+            for x, f in column_firsts(bad)
+        )
     bad2 = np.flatnonzero(restrict[points, proj] != points)
     out.extend(
         Violation("axiom-2", (int(x),), "x.p(x) != x") for x in bad2
     )
-    for e in range(k):
-        lhs = proj[restrict[:, e]]
-        rhs = meet[proj, e]
-        for x in np.flatnonzero(lhs != rhs)[:1]:
-            out.append(
-                Violation("axiom-3", (int(x), e), "p(x.e) != p(x)e")
-            )
-    present = set(proj.tolist())
-    for e in range(k):
-        if e not in present:
-            out.append(Violation("surjective", (e,), "empty fiber"))
-    for e in range(k):
-        pts = np.flatnonzero(proj == e)
-        for f in range(k):
-            bad = first_increase(p.metric, pts, restrict[pts, f])
-            if bad is not None:
-                i, j = bad
-                out.append(
-                    Violation(
-                        "monotone",
-                        (int(pts[i]), int(pts[j]), f),
-                        "restriction increased a distance",
-                    )
-                )
+    out.extend(
+        Violation("axiom-3", (x, e), "p(x.e) != p(x)e")
+        for x, e in column_firsts(proj[restrict] != meet[proj])
+    )
+    out.extend(
+        Violation("surjective", (int(e),), "empty fiber")
+        for e in np.flatnonzero(np.bincount(proj, minlength=p.base.size) == 0)
+    )
+    out.extend(
+        Violation("monotone", (x, y, f), "restriction increased a distance")
+        for x, y, f in fiber_increases(p, restrict)
+    )
     return out
 
 
@@ -208,20 +208,14 @@ def cayley_presheaf(monoid, gens):
     L-class with unit edges.  ``gens`` must be quasi-generating.
     """
     sym = symmetric_quasi_generators(monoid, gens)
-    idem = monoid.idempotents
-    local = {e: i for i, e in enumerate(idem)}
-    k = len(idem)
-    meet = np.empty((k, k), dtype=np.int32)
-    for i, e in enumerate(idem):
-        for j, f in enumerate(idem):
-            meet[i, j] = local[monoid.mul(e, f)]
-    base = Semilattice(meet=meet, labels=idem)
-    n = monoid.order
-    proj = np.array([local[monoid.dom(s)] for s in range(n)], dtype=np.int32)
-    restrict = monoid.product[:, np.array(idem, dtype=np.intp)].astype(np.int32)
+    idem = np.array(monoid.idempotents, dtype=np.intp)
+    local = np.full(monoid.order, -1, dtype=np.int32)
+    local[idem] = np.arange(idem.size)
+    base = Semilattice(
+        meet=local[monoid.product[np.ix_(idem, idem)]], labels=monoid.idempotents
+    )
+    restrict = monoid.product[:, idem].astype(np.int32)
     succ = word_successors(monoid, sym, within_class=True)
-    edges = [
-        (int(s), int(succ[s, j]), sym[j])
-        for j, s in zip(*np.nonzero(succ.T != np.arange(n)))
-    ]
-    return MetricPresheaf.build(base, proj, restrict, edges)
+    j, s = np.nonzero(succ.T != np.arange(monoid.order))
+    edges = np.stack([s, succ[s, j], np.array(sym, dtype=np.intp)[j]], axis=1)
+    return MetricPresheaf.build(base, local[monoid.dom_table], restrict, edges)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from invgeom import PartialBijection, cayley_self_action, symmetric_inverse_monoid
-from invgeom.extmetric import ExtendedMetric, bfs, classes, narrow
+from invgeom.extmetric import UNREACHED, ExtendedMetric, bfs, classes, narrow
 
 
 def enumerate_partial_bijections(n):
@@ -68,6 +68,20 @@ def block_metric(table):
     blocks = [table[np.ix_(pts, pts)].ravel() for pts in points]
     flat = np.concatenate([np.zeros(0), *blocks]).astype(np.int64)
     return ExtendedMetric(label, points, narrow(flat))
+
+
+def first_increase(metric, points, images):
+    """The least (i, j) with d(images[i], images[j]) > d(points[i], points[j]).
+
+    An infinite distance exceeds every finite one but not itself.  None
+    when no pair increases.  The oracle of ``extmetric.first_increases``,
+    one component and one map at a time.
+    """
+    before, after = metric.among(points), metric.among(images)
+    bad = (before != UNREACHED) & ((after == UNREACHED) | (after > before))
+    if not bad.any():
+        return None
+    return divmod(int(np.argmax(bad)), len(points))
 
 
 def qi_bounds_hold(report, mapped, da, db):

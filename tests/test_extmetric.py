@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,16 +18,18 @@ from invgeom import (
     symmetrize,
     validate_metric_predicates,
 )
+from invgeom import extmetric
 from invgeom.cayley import word_successors
 from invgeom.extmetric import (
     UNREACHED,
     bfs,
+    first_increases,
     successor_array,
     trace_paths,
 )
 from invgeom.families import build_example, chain_semilattice, cyclic_group_table
 
-from conftest import block_metric, dense, dense_bfs
+from conftest import block_metric, dense, dense_bfs, first_increase
 
 
 def test_path_graph_distances():
@@ -216,6 +219,44 @@ def test_predicate_witnesses_match_the_dense_sweeps(i3, graph):
     for f1 in (report.uniform_properness.data["f1"], (), i3.generating_set[:2]):
         check = validate_metric_predicates(i3, metric, f1=f1).uniform_properness
         assert check.witness == dense_uniform_witness(i3, table, tuple(sorted(f1)))
+
+
+@st.composite
+def stretched_metrics(draw):
+    """(metric, maps): a random partition-shaped metric with small distances,
+    its components often single points, and random point maps, which
+    send many points into other components."""
+    n = draw(st.integers(1, 12))
+    label = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=int)
+    values = draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
+    table = np.where(label[:, None] == label, np.reshape(values, (n, n)), -1)
+    columns = draw(st.integers(0, 3))
+    maps = draw(st.lists(st.integers(0, n - 1), min_size=n * columns, max_size=n * columns))
+    return block_metric(table), np.reshape(np.array(maps, dtype=int), (n, columns))
+
+
+@given(stretched_metrics(), st.sampled_from([1, 2, 3, 7, extmetric.BLOCK_PAIRS]))
+@settings(max_examples=150, deadline=None)
+def test_first_increases_matches_the_per_component_oracle(case, block_pairs):
+    # a small block size splits components across blocks
+    metric, maps = case
+    with mock.patch.object(extmetric, "BLOCK_PAIRS", block_pairs):
+        blocks = list(metric.row_blocks())
+        found = first_increases(metric, maps)
+    # whole rows, component by component, fewer than block_pairs beyond the first
+    width = metric.sizes[metric.label[np.concatenate(metric.points)]]
+    assert all(x.size - metric.sizes[metric.label[x[0]]] < block_pairs for x, _, _ in blocks)
+    x, y, d = (np.concatenate(part) for part in zip(*blocks))
+    assert np.array_equal(x, np.repeat(np.concatenate(metric.points), width))
+    assert np.array_equal(d, metric.table)
+    assert np.array_equal(metric.distances(x, y), d)
+    want = []
+    for c, pts in enumerate(metric.points):
+        for j in range(maps.shape[1]):
+            bad = first_increase(metric, pts, maps[pts, j])
+            if bad is not None:
+                want.append((c, j, int(pts[bad[0]]), int(pts[bad[1]])))
+    assert repr(found) == repr(want)
 
 
 @pytest.mark.parametrize("name", ["i3", "i4"])

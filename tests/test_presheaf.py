@@ -1,7 +1,10 @@
 import dataclasses
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invgeom import (
     INFINITE,
@@ -13,7 +16,9 @@ from invgeom import (
     trivial_monoid,
     validate_presheaf,
 )
+from invgeom.cayley import symmetric_quasi_generators, word_successors
 from invgeom.extmetric import UNREACHED, bfs, trace_paths
+from invgeom.families import build_example
 
 from conftest import dense
 
@@ -162,3 +167,147 @@ def test_presheaf_edges_carry_generator_labels(i2, i2_swap):
     p = cayley_presheaf(i2, [i2_swap])
     labels = {g for _, _, g in p.edges}
     assert labels == {i2_swap}
+
+
+# The array passes of presheaf.py against the loops they replaced.
+
+
+def associativity_witness_loop(m):
+    for e in range(len(m)):
+        if not np.array_equal(m[m[e, :], :], m[e, m]):
+            f, g = np.argwhere(m[m[e, :], :] != m[e, m])[0]
+            return (e, int(f), int(g))
+    return None
+
+
+def top_loop(lattice):
+    for e in range(lattice.size):
+        if all(lattice.leq(f, e) for f in range(lattice.size)):
+            return e
+    return None
+
+
+@st.composite
+def meet_tables(draw):
+    """A k x k commutative, idempotent table: often a chain or a product of
+    chains, otherwise random off the diagonal."""
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        a, b = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        pairs = list(product(range(a), range(b)))
+        index = {pair: i for i, pair in enumerate(pairs)}
+        return np.array([
+            [index[min(x[0], y[0]), min(x[1], y[1])] for y in pairs] for x in pairs
+        ])
+    m = np.array(draw(st.lists(st.integers(0, k - 1), min_size=k * k, max_size=k * k)))
+    m = m.reshape(k, k)
+    m = np.triu(m, 1) + np.triu(m, 1).T
+    np.fill_diagonal(m, np.arange(k))
+    return m
+
+
+@given(meet_tables())
+@settings(max_examples=150, deadline=None)
+def test_semilattice_checks_match_the_loops(m):
+    lattice = Semilattice(meet=m)
+    witness = associativity_witness_loop(m)
+    if witness is None:
+        lattice.validate()
+    else:
+        with pytest.raises(ValidationError, match="associative") as err:
+            lattice.validate()
+        assert err.value.witness == witness
+    assert lattice.top() == top_loop(lattice)
+
+
+def clean_edges_loop(proj, edges):
+    """The edges build keeps, or the ValidationError it raises, one edge at
+    a time; the fiber connectivity check is left out."""
+    m = len(proj)
+    cleaned, seen = [], set()
+    for u, v, *rest in edges:
+        label = rest[0] if rest else None
+        if not (0 <= u < m and 0 <= v < m):
+            raise ValidationError(f"edge ({u},{v}) out of range")
+        if u == v:
+            continue
+        if proj[u] != proj[v]:
+            raise ValidationError("edge joins different fibers", witness=(int(u), int(v)))
+        if (u, v, label) in seen:
+            continue
+        seen.add((u, v, label))
+        cleaned.append((int(u), int(v), label))
+    return tuple(cleaned)
+
+
+def disconnected_fiber(proj, edges, k):
+    """The least fiber whose edges do not join all its points, or None."""
+    comp = list(range(len(proj)))
+    for u, v, _ in edges:
+        a, b = comp[u], comp[v]
+        comp = [a if c == b else c for c in comp]
+    for e in range(k):
+        if len({c for x, c in enumerate(comp) if proj[x] == e}) > 1:
+            return e
+    return None
+
+
+@st.composite
+def edge_lists(draw):
+    """(proj, edges) over a chain of k fibers: edges as (u, v) or (u, v,
+    label) tuples, some out of range, loops, repeats or across fibers, and
+    often a path through every fiber as well."""
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    proj = draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
+    fibers = [[x for x in range(m) if proj[x] == e] for e in range(k)]
+    ends = st.integers(0, m - 1)
+    if draw(st.integers(0, 9)) == 0:
+        ends = st.integers(-1, m)
+    edges = []
+    if draw(st.booleans()):
+        edges += [(a, b) for fiber in fibers for a, b in zip(fiber, fiber[1:])]
+    edge = st.one_of(
+        st.tuples(ends, ends),
+        st.tuples(ends, ends, st.sampled_from([None, -1, 0, 1, 2])),
+    )
+    edges += draw(st.lists(edge, max_size=12))
+    if draw(st.booleans()):
+        edges = [(u, v, *rest) for u, v, *rest in edges if proj[u % m] == proj[v % m]]
+    return k, proj, draw(st.permutations(edges))
+
+
+@given(edge_lists())
+@settings(max_examples=300, deadline=None)
+def test_build_cleans_edges_as_the_loop(case):
+    k, proj, edges = case
+    base = Semilattice(meet=np.minimum.outer(np.arange(k), np.arange(k)))
+    restrict = np.zeros((len(proj), k), dtype=int)
+    try:
+        cleaned = clean_edges_loop(proj, edges)
+    except ValidationError as want:
+        with pytest.raises(ValidationError) as err:
+            MetricPresheaf.build(base, proj, restrict, edges)
+        assert (str(err.value), err.value.witness) == (str(want), want.witness)
+        return
+    e = disconnected_fiber(proj, cleaned, k)
+    if e is None:
+        p = MetricPresheaf.build(base, proj, restrict, edges)
+        assert repr(p.edges) == repr(cleaned)
+    else:
+        with pytest.raises(ValidationError, match=f"fiber {e} is disconnected"):
+            MetricPresheaf.build(base, proj, restrict, edges)
+
+
+@pytest.mark.parametrize("name", ["i3", "chain3_z3", "i4"])
+def test_cayley_presheaf_keeps_the_edges_of_the_loop(name):
+    built = build_example(name)
+    monoid = built.monoid
+    sym = symmetric_quasi_generators(monoid, built.quasi_generators)
+    succ = word_successors(monoid, sym, within_class=True)
+    edges = [
+        (int(s), int(succ[s, j]), sym[j])
+        for j, s in zip(*np.nonzero(succ.T != np.arange(monoid.order)))
+    ]
+    p = cayley_presheaf(monoid, built.quasi_generators)
+    assert repr(p.edges) == repr(clean_edges_loop(p.proj, edges))
+    assert repr(MetricPresheaf.build(p.base, p.proj, p.restrict, edges).edges) == repr(p.edges)
