@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .extmetric import class_pairs, first_split
+from .extmetric import UNREACHED, class_pairs, first_split
 from .monoid import row_blocks
 from .presheaf import MetricPresheaf, cayley_presheaf, column_firsts, fiber_increases
 from .report import Violation
@@ -153,23 +153,30 @@ def coboundedness_constant(a, x1):
         raise PreconditionError(
             f"basepoint {x1} is not in the identity fiber", witness=(x1,)
         )
-    best = np.full(p.num_points, math.inf)
-    for b, d in zip(*p.metric.row(x1)):
-        np.minimum.at(best, act[b, :], d)
-    if np.any(np.isinf(best)):
+    near, dist = p.metric.row(x1)
+    # each point's least level: nearer levels are written last
+    best = np.full(p.num_points, UNREACHED)
+    for d in range(int(dist.max()), -1, -1):
+        best[act[near[dist == d]]] = d
+    if np.any(best == UNREACHED):
         return None
     return int(best.max())
 
 
 def _qualifying(a, y1, radius):
-    """Elements s with d(y1.s, y1.dom s) <= radius (always a finite value)."""
+    """Elements s with d(y1.s, y1.dom s) <= radius (always a finite value).
+
+    Distances stay integers, which numpy compares exactly with the floor
+    of any rational radius, however large.
+    """
     act = a.act
     dom = a.monoid.dom_table
     pts_s = act[y1, :]
     pts_d = act[y1, dom]
-    dvals = a.presheaf.metric.distances(pts_s, pts_d, fill=math.inf)
+    dvals = a.presheaf.metric.distances(pts_s, pts_d)
     cutoff = math.floor(Fraction(radius))
-    return [int(s) for s in np.flatnonzero(dvals <= cutoff)]
+    near = (dvals != UNREACHED) & (dvals <= cutoff)
+    return [int(s) for s in np.flatnonzero(near)]
 
 
 def properness_witness(a, y1, radius):

@@ -293,6 +293,11 @@ def load_presheaf(path):
         )
     _check_index_list(proj, k, path, "proj")
     restrict = _index_table(restrict, (m, k), m, path, "restrict")
+    if len(fibers) != k:
+        raise ParseError(
+            f"{path}: fibers has {len(fibers)} edge lists for {k} fibers",
+            field="fibers",
+        )
     edges = []
     for i, fiber_edges in enumerate(fibers):
         if not isinstance(fiber_edges, list):
@@ -306,6 +311,12 @@ def load_presheaf(path):
                 raise ParseError(
                     f"{path}: fiber edge {entry!r} is not [u, v, label] with "
                     f"points below {m} and an integer or null label",
+                    field="fibers",
+                )
+            if proj[entry[0]] != i or proj[entry[1]] != i:
+                raise ParseError(
+                    f"{path}: fiber edge {entry!r} is listed under fiber {i} "
+                    "but does not join two of its points",
                     field="fibers",
                 )
             edges.append(tuple(entry))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,6 +275,16 @@ def test_properness_witness_i2(i2, i2_swap, i2_action):
     # the word-length cover {1} u M works too
     assert coset_cover_holds(i2, (i2.identity, i2_swap), qualifying)
     assert set(cover) <= {i2.identity, i2_swap}
+
+
+def test_properness_witness_at_a_radius_beyond_float_range(i2, i2_action):
+    # every element qualifies, as at any radius past the largest distance
+    x1 = i2.identity
+    huge = Fraction(10) ** 400
+    assert _qualifying(i2_action, x1, huge) == list(range(i2.order))
+    assert properness_witness(i2_action, x1, huge) == properness_witness(
+        i2_action, x1, 3
+    )
 
 
 def test_properness_witness_radius_zero_free_orbit():

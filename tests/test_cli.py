@@ -204,6 +204,13 @@ def test_verify_rejects_bad_argument(i2_files, capsys, flag, value):
     assert flag in capsys.readouterr().err
 
 
+def test_verify_accepts_a_radius_beyond_float_range(i2_files, capsys):
+    # 1e400 is a valid rational; every radius comparison stays exact
+    args = ["verify", "--input", str(i2_files / "i2.action.json"), "--radius", "1e400"]
+    assert main(args) == 0
+    assert "ALL CHECKS PASSED" in capsys.readouterr().out
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -227,12 +227,13 @@ TABLE_FILE = {"order": 2, "identity": 0, "product": [[0, 1], [1, 1]]}
 
 
 def _with(data, path, value):
-    """A deep copy of ``data`` with the entry at ``path`` set to ``value``."""
+    """A deep copy of ``data`` with the entry at ``path`` set to ``value``,
+    or to ``value(entry)`` when ``value`` is a function."""
     data = json.loads(json.dumps(data))
     target = data
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    target[path[-1]] = value(target[path[-1]]) if callable(value) else value
     return data
 
 
@@ -309,12 +310,15 @@ def test_bad_act_entry_is_a_parse_error(tmp_path, i2, i2_action, value):
         (["fibers", 0, 0, 0], "x", "fibers"),
         (["fibers", 0, 0, 2], "x", "fibers"),
         (["fibers", 0], 5, "fibers"),
+        (["fibers"], lambda f: [*f, []], "fibers"),
+        (["fibers"], lambda f: [[], f[0] + f[1], *f[2:]], "fibers"),
         (["base", "meet", 0, 0], 99, "meet"),
         (["base", "labels", 0], "x", "labels"),
     ],
     ids=[
         "proj-range", "proj-float", "restrict-range", "edge-range", "edge-str",
-        "edge-label-str", "fiber-not-list", "meet-range", "base-label-str",
+        "edge-label-str", "fiber-not-list", "fiber-count", "edge-misfiled",
+        "meet-range", "base-label-str",
     ],
 )
 def test_bad_presheaf_entry_is_a_parse_error(tmp_path, i2_action, path, value, field):

@@ -500,6 +500,24 @@ def test_orbit_checks_match_the_loops(name, seed):
         assert (qi.mult, qi.add) == expected
 
 
+def coboundedness_loop(a, x1):
+    """coboundedness_constant as a loop over the basepoint's component,
+    one ``np.minimum.at`` over the whole act row per point."""
+    best = np.full(a.presheaf.num_points, np.inf)
+    for b, d in zip(*a.presheaf.metric.row(x1)):
+        np.minimum.at(best, a.act[b, :], d)
+    return None if np.isinf(best).any() else int(best.max())
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_coboundedness_matches_the_loop(name, seed):
+    action = example(name, seed)[2]
+    x1 = action.monoid.identity
+    tampers = [*act_tampers(action, 8, seed=11), *orbit_tampers(action, 8, seed=11)]
+    for a in [action, *tampers]:
+        assert coboundedness_constant(a, x1) == coboundedness_loop(a, x1)
+
+
 def theta_loop(a, s, table):
     """check_theta_isometry over ``table``, the presheaf's dense N x N table."""
     p = a.presheaf

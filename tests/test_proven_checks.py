@@ -9,6 +9,11 @@ the three oracles fails a check that `verify` still runs, so dropping
 them changes no verdict.  On the same act and restrict mutants, the
 validators' array sweeps give the finding lists of the per-fiber loops
 they replaced, kept below as oracles.
+
+The five predicates of `validate_metric_predicates` hold on every word
+metric `cayley_metric` builds (the proof is there), which is checked on
+the bundled examples and 4-chain x Z/60, over their own and seeded random
+generating sets.
 """
 
 import numpy as np
@@ -21,11 +26,14 @@ from invgeom import (
     cayley_metric,
     cayley_self_action,
     from_table,
+    semilattice_times_group,
     validate_action,
+    validate_metric_predicates,
     validate_presheaf,
 )
 from invgeom.action import check_theta_isometry
-from invgeom.errors import ValidationError
+from invgeom.errors import PreconditionError, ValidationError
+from invgeom.families import chain_semilattice, cyclic_group_table
 from invgeom.monoid import row_blocks
 from invgeom.report import Violation
 from invgeom.verify import (
@@ -224,3 +232,37 @@ def test_every_accepted_product_table_pairs_edges_and_agrees(name):
         metric = cayley_metric(m, gens).metric
         assert check_word_metric_agreement(m, gens, metric).passed
     assert accepted >= 1  # the unmutated table
+
+
+def quasi_generated(name):
+    """A monoid and its own quasi-generating set: a bundled example, or
+    4-chain x Z/60 generated at the top by 1 and -1."""
+    if name == "chain4_z60":
+        m = semilattice_times_group(chain_semilattice(4), cyclic_group_table(60))
+        return m, (3 * 60 + 1, 3 * 60 + 59)
+    built = build_example(name)
+    return built.monoid, built.quasi_generators
+
+
+@pytest.mark.parametrize(
+    "name", ["trivial", "i1", "i2", "i3", "i4", "chain2_z2", "chain3_z3", "chain4_z60"]
+)
+def test_every_word_metric_passes_the_five_predicates(name):
+    monoid, gens = quasi_generated(name)
+    rng = np.random.default_rng(19)
+    # one to three random elements, alone or added to the example's own set
+    sets = [gens] + [
+        rng.choice(monoid.order, size=min(k, monoid.order), replace=False).tolist()
+        + (list(gens) if i % 2 else [])
+        for i, k in enumerate(rng.integers(1, 4, size=24))
+    ]
+    built = 0
+    for letters in sets:
+        try:
+            word = cayley_metric(monoid, letters)
+        except PreconditionError:
+            continue  # not quasi-generating
+        built += 1
+        report = validate_metric_predicates(monoid, word.metric)
+        assert all(c.passed for c in report.checks), (letters, report.checks)
+    assert built >= 1  # the example's own set
