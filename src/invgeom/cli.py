@@ -18,7 +18,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from . import families, fileio
+from . import fileio
 from .action import cayley_self_action
 from .cayley import cayley_metric, symmetric_quasi_generators, word_successors
 from .errors import InvgeomError, ParseError
@@ -225,10 +225,23 @@ def cmd_qi(args):
 
 
 def cmd_examples(args):
+    # imported here, so that no other command loads the families; the
+    # name is checked here for the same reason
+    from . import families
+
+    specs = families.list_examples()
+    names = [spec.name for spec in specs]
+    if args.name is not None and args.name not in names:
+        args.parser.error(
+            f"argument name: invalid choice: {args.name!r} "
+            f"(choose from {', '.join(names)})"
+        )
     if args.action == "list":
-        for spec in families.list_examples():
+        for spec in specs:
             print(f"{spec.name}: {spec.description}")
         return 0
+    if args.name is None:
+        args.parser.error("examples emit requires a name")
     built = families.build_example(args.name)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -319,14 +332,9 @@ def build_parser():
 
     p = sub.add_parser("examples", help="list or emit bundled examples")
     p.add_argument("action", choices=("list", "emit"))
-    p.add_argument(
-        "name",
-        nargs="?",
-        default=None,
-        choices=[spec.name for spec in families.list_examples()],
-    )
+    p.add_argument("name", nargs="?", default=None, help="example to emit")
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_examples)
+    p.set_defaults(func=cmd_examples, parser=p)  # for its usage errors
 
     return parser
 
@@ -334,8 +342,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "examples" and args.action == "emit" and not args.name:
-        parser.error("examples emit requires a name")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -28,7 +28,11 @@ import numpy as np
 
 INFINITE = math.inf
 UNREACHED = -1  # unreached level, and the distance across components
-BLOCK_PAIRS = 1 << 16  # pairs per block of a sweep over a metric's finite pairs
+# Pairs per block of a sweep over a metric's finite pairs.  A block's index
+# arrays, a few intp entries a pair, stay under ~0.4 MB, below what loading
+# a small input leaves in the heap; blocks half this size would make I6's
+# presheaf sweep, 64 maps over 5.9 M pairs, 2.2 -> 2.9 s (2-core Xeon VM).
+BLOCK_PAIRS = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,14 +56,13 @@ def cyclic_group_table(m):
 
 
 def _group_identity(table):
+    """The least e whose row and column are the identity map, or None."""
     n = table.shape[0]
+    if table.shape != (n, n):
+        return None
     elems = np.arange(n)
-    for e in range(n):
-        if np.array_equal(table[e, :], elems) and np.array_equal(
-            table[:, e], elems
-        ):
-            return e
-    return None
+    both = (table == elems).all(axis=1) & (table == elems[:, None]).all(axis=0)
+    return int(np.argmax(both)) if both.any() else None
 
 
 def semilattice_times_group(e_table, g_table):
@@ -84,9 +83,11 @@ def semilattice_times_group(e_table, g_table):
     if gid is None:
         raise ValidationError("group table has no identity")
     m = g_table.shape[0]
-    for x in range(m):
-        if len(set(int(v) for v in g_table[x, :])) != m:
-            raise ValidationError(f"group row {x} is not a bijection")
+    # a row holds m distinct values iff its sorted values never repeat
+    ordered = np.sort(g_table, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeats.any():
+        raise ValidationError(f"group row {np.argmax(repeats)} is not a bijection")
     k = e_table.shape[0]
     product = (
         e_table[:, None, :, None].astype(np.int64) * m
@@ -94,7 +95,7 @@ def semilattice_times_group(e_table, g_table):
     ).reshape(k * m, k * m)
     labels = tuple(f"(e{e},g{x})" for e in range(k) for x in range(m))
     monoid = build_from_tables(
-        product.astype(np.int32),
+        product,
         identity=int(top) * m + int(gid),
         labels=labels,
     )

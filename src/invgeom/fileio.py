@@ -15,7 +15,8 @@ the JSON name without ``.json``, then ``.<field>.npy``, in the same
 directory and resolved relative to it (``w.monoid.json`` gets
 ``w.monoid.product.npy``).  A sidecar is int16 when the field's bound
 (the order for ``product``, the number of points otherwise) is at most
-2**15 and int32 above, so its bytes depend only on the table's values.
+2**15 and int32 above (``monoid.index_dtype``), so its bytes depend only
+on the table's values, and the loaded table is held at that same width.
 The reader loads it without pickles and checks its integer dtype, its
 shape and its range with array passes.  A field holding an inline list
 of lists, as earlier versions wrote, still loads through the per-entry
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .monoid import from_table, generate_monoid, generator_indices
+from .monoid import from_table, generate_monoid, generator_indices, index_dtype
 from .partial_bijection import UNDEFINED, PartialBijection
 
 
@@ -98,21 +99,23 @@ def _check_index_table(rows, shape, bound, path, field):
 def _save_index_table(path, field, table, bound):
     """Write ``table`` to the ``field`` sidecar of ``path``; return its name."""
     name = f"{Path(path).name.removesuffix('.json')}.{field}.npy"
-    dtype = np.int16 if bound <= 2**15 else np.int32
+    dtype = index_dtype(bound)
     with open(Path(path).parent / name, "wb") as f:
         np.save(f, np.ascontiguousarray(table, dtype=dtype), allow_pickle=False)
     return name
 
 
 def _index_table(value, shape, bound, path, field):
-    """The int32 ``shape`` table of ints in [0, bound) that ``value`` holds.
+    """The ``shape`` table of ints in [0, bound) that ``value`` holds, at
+    ``index_dtype(bound)`` width.
 
     ``value`` is an inline list of lists or the name of a sidecar next to
-    ``path``; anything else in the file or the sidecar is a ParseError.
+    ``path``; anything else in the file or the sidecar is a ParseError.  A
+    sidecar this module wrote is returned as loaded, after its checks.
     """
     if isinstance(value, list):
         _check_index_table(value, shape, bound, path, field)
-        return np.asarray(value, dtype=np.int32)
+        return np.asarray(value, dtype=index_dtype(bound))
     sidecar = Path(path).parent / value
     try:
         table = np.load(sidecar, allow_pickle=False)
@@ -142,7 +145,7 @@ def _index_table(value, shape, bound, path, field):
             f"{bound}",
             field=field,
         )
-    return table.astype(np.int32, copy=False)
+    return table.astype(index_dtype(bound), copy=False)
 
 
 def _check_index_list(values, bound, path, field):

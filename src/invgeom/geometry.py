@@ -211,11 +211,12 @@ def qi_constants(mapped, da, db):
         raise PreconditionError(
             "map does not preserve finiteness of distances", witness=split
         )
-    # the residuals depend only on which distance pairs (x, y) occur
+    # the residuals depend only on which distance pairs (x, y) occur; each
+    # component of da maps into one of db, as finiteness is preserved
     width = db.max_finite() + 1
     seen = np.zeros((da.max_finite() + 1) * width, dtype=bool)
-    for x, y, d in da.row_blocks():
-        seen[d.astype(np.int64) * width + db.distances(mapped[x], mapped[y])] = True
+    for c, pts in enumerate(da.points):
+        seen[da.block(c).astype(np.int64) * width + db.among(mapped[pts])] = True
     x, y = np.divmod(np.flatnonzero(seen), width)
     p = np.array([[lad.numerator] for lad in QI_LADDER])
     q = np.array([[lad.denominator] for lad in QI_LADDER])
@@ -228,14 +229,16 @@ def qi_constants(mapped, da, db):
     ]
     # min keeps the first of equal residuals, so ties go to the least L
     best = min(range(len(QI_LADDER)), key=residual.__getitem__)
-    # each point's distance from the image, if that meets every component
+    # the farthest any point lies from the image, if that meets every
+    # component
     hit = np.bincount(mapped, minlength=db.size) > 0
-    far = np.iinfo(db.table.dtype).max
-    near = np.full(db.size, far, dtype=db.table.dtype)
-    for x, y, d in db.row_blocks():
-        np.minimum.at(near, y, np.where(hit[x], d, far))
-    met = np.bincount(db.label[mapped], minlength=len(db.points)).all()
-    radius = int(near.max(initial=0)) if met else INFINITE
+    radius = 0
+    for c, pts in enumerate(db.points):
+        reach = db.block(c)[hit[pts]]
+        if not reach.size:
+            radius = INFINITE
+            break
+        radius = max(radius, int(reach.min(axis=0).max()))
     return QiReport(
         mult=QI_LADDER[best],
         add=residual[best],

@@ -125,6 +125,12 @@ def natural_leq_matrix(monoid):
     return leq
 
 
+def index_dtype(bound):
+    """The dtype of every table of indices below ``bound``, in memory as on
+    disk: int16 up to a bound of 2**15, int32 above."""
+    return np.int16 if bound <= 2**15 else np.int32
+
+
 def row_blocks(n, width=None):
     """Index arrays of consecutive rows of an n-row table of ``width``
     columns (n by default), about 2**14 entries a block, so that a row-wise
@@ -190,17 +196,23 @@ def _check_associativity(product):
     Semigroups I, 1.2): if g and h pass, so does g h, since
     (a (g h)) c = ((a g) h) c = (a g) (h c) = a (g (h c)) = a ((g h) c),
     and every element is a product ((g1 g2) g3) ... of the generating set.
-    Returns that set.
+    Returns that set.  A block of rows a is compared at a time, so the
+    first failure found is the least a, then the least c, for the first
+    failing g.
     """
     gens = generating_set(product)
     for g in gens:
-        left = product[product[:, g], :]   # (a g) c
-        right = product[:, product[g, :]]  # a (g c)
-        if not np.array_equal(left, right):
-            a, c = np.argwhere(left != right)[0]
-            raise ValidationError(
-                f"not associative at ({a},{g},{c})", witness=(int(a), g, int(c))
-            )
+        ag, gc = product[:, g], product[g, :]
+        for a in row_blocks(product.shape[0]):
+            # (a g) c against a (g c); the rows a are consecutive, so a
+            # slice reads them without a copy
+            bad = product[ag[a]] != product[a[0] : a[-1] + 1].take(gc, axis=1)
+            if bad.any():
+                i, c = np.argwhere(bad)[0]
+                raise ValidationError(
+                    f"not associative at ({a[i]},{g},{c})",
+                    witness=(int(a[i]), g, int(c)),
+                )
     return gens
 
 
@@ -263,7 +275,9 @@ def _check_idempotents_commute(product, idem):
 def build_from_tables(product, identity, elements=None, labels=None, inverse=None):
     """Validate a product table and assemble the monoid.
 
-    Checks the identity law, associativity by Light's test, uniqueness of
+    The table must have an integer dtype, and the monoid holds it at
+    ``index_dtype`` width (the caller's array when already at it).  Checks
+    the identity law, associativity by Light's test, uniqueness of
     inverses, and that idempotents commute.  Raises ValidationError with a
     witness on the first failure.
 
@@ -289,17 +303,23 @@ def build_from_tables(product, identity, elements=None, labels=None, inverse=Non
     x^-1 (x t) = e t = t.
     """
     product = np.asarray(product)
-    n = product.shape[0]
-    if product.ndim != 2 or product.shape[1] != n:
+    if product.ndim != 2 or product.shape[0] != product.shape[1]:
         raise ValidationError(f"product table is not square: {product.shape}")
+    n = product.shape[0]
     if n == 0:
         raise ValidationError("empty product table")
+    if product.dtype.kind not in "iu":
+        raise ValidationError(
+            f"product table has dtype {product.dtype}, not an integer one"
+        )
     if elements is None and (product.min() < 0 or product.max() >= n):
         bad = np.argwhere((product < 0) | (product >= n))[0]
         raise ValidationError(
             f"table entry out of range at {tuple(bad)}",
             witness=tuple(int(x) for x in bad),
         )
+    # checked in the caller's dtype, so narrowing changes no entry
+    product = product.astype(index_dtype(n), copy=False)
     if not 0 <= identity < n:
         raise ValidationError(f"identity index {identity} out of range")
     _check_identity(product, identity)
@@ -329,7 +349,7 @@ def build_from_tables(product, identity, elements=None, labels=None, inverse=Non
 
 def from_table(product, identity):
     """Monoid from an explicit product table with opaque element indices."""
-    return build_from_tables(np.asarray(product, dtype=np.int32), identity)
+    return build_from_tables(product, identity)
 
 
 def image_rows(maps, n):
@@ -441,7 +461,7 @@ def generate_monoid(gens, element_cap=100_000, ground_size=None):
     # are at; each later level is its columns of steps: its rows, their
     # parent rows (by rank) and their letters.
     at = [index(image[canon]) for image in letters]
-    product = np.empty((count, count), np.int16 if count < 2**15 else np.int32)
+    product = np.empty((count, count), index_dtype(count))
     for g, row in zip(letter_rows, at):
         product[g] = row
     steps = np.stack([rank, rank[parent], letter])

@@ -13,6 +13,7 @@ import numpy as np
 from .cayley import symmetric_quasi_generators, word_successors
 from .errors import ValidationError
 from .extmetric import ExtendedMetric, all_pairs_bfs, first_increases, successor_array
+from .monoid import index_dtype
 from .report import Violation
 
 
@@ -90,7 +91,7 @@ class MetricPresheaf:
         """
         base.validate()
         proj = np.asarray(proj, dtype=np.int32)
-        restrict = np.asarray(restrict, dtype=np.int32)
+        restrict = np.asarray(restrict)
         m = proj.shape[0]
         k = base.size
         if restrict.shape != (m, k):
@@ -99,8 +100,14 @@ class MetricPresheaf:
             )
         if m and (proj.min() < 0 or proj.max() >= k):
             raise ValidationError("projection value out of range")
+        if m and restrict.dtype.kind not in "iu":
+            raise ValidationError(
+                f"restrict table has dtype {restrict.dtype}, not an integer one"
+            )
         if m and (restrict.min() < 0 or restrict.max() >= m):
             raise ValidationError("restriction value out of range")
+        # checked in the caller's dtype, so narrowing changes no entry
+        restrict = restrict.astype(index_dtype(m), copy=False)
         if isinstance(edges, np.ndarray):
             u, v, labels = np.asarray(edges, dtype=np.intp).reshape(-1, 3).T
         else:
@@ -214,7 +221,7 @@ def cayley_presheaf(monoid, gens):
     base = Semilattice(
         meet=local[monoid.product[np.ix_(idem, idem)]], labels=monoid.idempotents
     )
-    restrict = monoid.product[:, idem].astype(np.int32)
+    restrict = monoid.product[:, idem]
     succ = word_successors(monoid, sym, within_class=True)
     j, s = np.nonzero(succ.T != np.arange(monoid.order))
     edges = np.stack([s, succ[s, j], np.array(sym, dtype=np.intp)[j]], axis=1)

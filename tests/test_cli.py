@@ -297,6 +297,23 @@ def test_verify_leaves_numpy_ma_unimported(tmp_path):
         assert out.stdout.splitlines()[-1] == "False", args[0]
 
 
+def test_verify_leaves_the_families_unimported(tmp_path):
+    # only `examples` reads the bundled families
+    assert main(["examples", "emit", "i2", "--out-dir", str(tmp_path)]) == 0
+    src = str(Path(invgeom.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "from invgeom.cli import main\n"
+        f"assert main(['verify', '--input', {str(tmp_path / 'i2.action.json')!r}]) == 0\n"
+        "print('invgeom.families' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads read from /proc")
 def test_the_cli_runs_on_one_thread(tmp_path):
     # as `python -m invgeom.cli verify ...`, then the process's thread count

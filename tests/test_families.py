@@ -80,6 +80,21 @@ def test_bad_group_table_rejected():
         semilattice_times_group(chain_semilattice(2), bad)
 
 
+def test_group_table_error_names_the_first_row_that_is_no_bijection():
+    # column 0 and row 0 are the identity; rows 2 and 3 repeat a value
+    bad = cyclic_group_table(4)
+    bad[2] = [2, 3, 3, 1]
+    bad[3] = [3, 0, 0, 2]
+    with pytest.raises(ValidationError, match="group row 2 is not a bijection"):
+        semilattice_times_group(chain_semilattice(2), bad)
+    bad[2] = cyclic_group_table(4)[2]
+    with pytest.raises(ValidationError, match="group row 3 is not a bijection"):
+        semilattice_times_group(chain_semilattice(2), bad)
+    bad[:, 0] = [1, 0, 2, 3]  # no row and column are both the identity
+    with pytest.raises(ValidationError, match="no identity"):
+        semilattice_times_group(chain_semilattice(2), bad)
+
+
 def test_restriction_maps_between_fibers_are_isometries():
     m = semilattice_times_group(chain_semilattice(3), cyclic_group_table(3))
     gens = (2 * 3 + 1, 2 * 3 + 2)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from invgeom import fileio
 from invgeom.action import EtaleAction
 from invgeom.cayley import word_successors
 from invgeom.cli import main
+from invgeom.families import build_example, symmetric_inverse_generators
 from invgeom.presheaf import MetricPresheaf, Semilattice
 
 from conftest import (
@@ -163,9 +165,28 @@ def test_indented_data_files_still_load(tmp_path, i2, i2_swap, i2_action):
         path.unlink()
     monoid, gens, action = fileio.load_input(tmp_path / "a.json")
     assert np.array_equal(monoid.product, i2.product) and gens == (i2_swap,)
-    assert action.act.dtype == np.int32
+    # an inline table is held at its sidecar's width
+    assert action.act.dtype == np.int16 and monoid.product.dtype == np.int16
     assert np.array_equal(action.act, i2_action.act)
     assert np.array_equal(action.presheaf.restrict, i2_action.presheaf.restrict)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_source_holds_the_product_at_one_width(tmp_path, n):
+    monoid = build_example(f"i{n}").monoid
+    fileio.save_generator_file(tmp_path / "g.json", n, symmetric_inverse_generators(n))
+    fileio.save_monoid_table(tmp_path / "m.json", monoid)
+    sources = [
+        fileio.load_monoid_any(tmp_path / "g.json")[0],
+        fileio.load_monoid_any(tmp_path / "m.json")[0],
+        from_table(monoid.product.astype(np.int64), monoid.identity),
+    ]
+    inline_tables(tmp_path / "m.json")
+    (tmp_path / "m.product.npy").unlink()
+    sources.append(fileio.load_monoid_any(tmp_path / "m.json")[0])
+    for loaded in sources:
+        assert loaded.product.dtype == np.int16
+        assert np.array_equal(loaded.product, monoid.product)
 
 
 def test_metric_text_grid(i2, i2_swap):
@@ -415,9 +436,9 @@ def test_bad_sidecar_is_a_parse_error(
 
 
 def test_sidecar_bytes_depend_only_on_values(tmp_path, i2, i2_action):
-    # generate_monoid's table is int16 and from_table's int32
-    tables = [i2, from_table(i2.product, i2.identity)]
-    assert [m.product.dtype for m in tables] == [np.int16, np.int32]
+    # every monoid holds an int16 table here; the writer gives a wider one
+    # the same bytes
+    tables = [i2, replace(i2, product=i2.product.astype(np.int32))]
     acts = [i2_action.act.astype(dtype) for dtype in (np.int16, np.int32, np.int64)]
     acts.append(np.asfortranarray(acts[-1]))  # and in column-major order
     written = []

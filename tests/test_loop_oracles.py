@@ -41,7 +41,14 @@ from invgeom.errors import (
 )
 from invgeom.extmetric import UNREACHED, bfs, trace_paths
 from invgeom.geometry import QI_LADDER, GenerationCertificate, _shortest_words
-from invgeom.monoid import _inverse_table, mulclose
+from invgeom.families import chain_semilattice, cyclic_group_table, semilattice_times_group
+from invgeom.monoid import (
+    _check_associativity,
+    _inverse_table,
+    generating_set,
+    mulclose,
+    row_blocks,
+)
 from invgeom.report import CheckResult, Violation
 from invgeom.verify import check_edge_pairing
 
@@ -303,6 +310,20 @@ def inverse_table_loop(product):
     return inverse
 
 
+def associativity_dense(product):
+    """Light's test on whole tables: three N x N tables per generator."""
+    gens = generating_set(product)
+    for g in gens:
+        left = product[product[:, g], :]   # (a g) c
+        right = product[:, product[g, :]]  # a (g c)
+        if not np.array_equal(left, right):
+            a, c = np.argwhere(left != right)[0]
+            raise ValidationError(
+                f"not associative at ({a},{g},{c})", witness=(int(a), g, int(c))
+            )
+    return gens
+
+
 def qi_ladder_loop(mapped, da, db):
     """The (L, C) of qi_constants, one ladder step at a time."""
     a = dense(da)
@@ -478,6 +499,29 @@ def test_natural_leq_and_inverses_match_the_loops(name, seed):
             assert got == want
         else:
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_associativity_matches_the_dense_test(name, seed):
+    monoid = example(name, seed)[0]
+    tables = [monoid.product] + [m.product for m in product_tampers(monoid, 6, seed=9)]
+    for product in tables:
+        assert outcome(_check_associativity, product) == outcome(
+            associativity_dense, product
+        )
+
+
+@pytest.mark.parametrize("entry, block", [((3, 3), 0), ((100, 200), 1), ((239, 239), 3)])
+def test_associativity_witness_in_a_later_row_block(entry, block):
+    # 4-chain x Z/60: 68 rows a block, so one changed entry puts the least
+    # failing a in the first block or in a later one
+    product = np.array(
+        semilattice_times_group(chain_semilattice(4), cyclic_group_table(60)).product
+    )
+    product[entry] = (product[entry] + 1) % 240
+    got = outcome(_check_associativity, product)
+    assert got == outcome(associativity_dense, product)
+    assert got[0] is ValidationError and got[2][0] in row_blocks(240)[block]
 
 
 @pytest.mark.parametrize("name,seed", CASES)

@@ -129,13 +129,38 @@ def test_from_table_round_trip(i2):
     assert m.identity == i2.identity
 
 
-def test_from_table_keeps_an_int32_table(i2):
-    table = np.array(i2.product, dtype=np.int32)
+def test_from_table_keeps_a_table_at_its_index_width(i2):
+    # the width of every index table: int16 for an order up to 2**15
+    table = np.array(i2.product, dtype=np.int16)
     m = from_table(table, i2.identity)
     assert m.product is table and not table.flags.writeable
-    wide = np.array(i2.product, dtype=np.int64)
-    assert from_table(wide, i2.identity).product.dtype == np.int32
-    assert wide.flags.writeable
+    for dtype in (np.uint8, np.int32, np.int64):
+        wide = np.array(i2.product, dtype=dtype)
+        assert from_table(wide, i2.identity).product.dtype == np.int16
+        assert wide.flags.writeable
+    m = semilattice_times_group(chain_semilattice(2), cyclic_group_table(3))
+    assert m.product.dtype == np.int16
+
+
+@pytest.mark.parametrize(
+    "table, witness",
+    [
+        (np.array([[2**32]]), (0, 0)),
+        ([[0, 1], [1, 2**32 + 1]], (1, 1)),
+        (np.array([[0, 1], [1, 2**16]], dtype=np.int32), (1, 1)),
+    ],
+)
+def test_from_table_range_checks_before_narrowing(table, witness):
+    # each entry would wrap into range at a narrower width
+    with pytest.raises(ValidationError, match="out of range") as err:
+        from_table(table, 0)
+    assert err.value.witness == witness
+
+
+@pytest.mark.parametrize("table", [[[0.7]], [[0.0]], [[True]], [[2**70]]])
+def test_from_table_rejects_a_non_integer_table(table):
+    with pytest.raises(ValidationError, match="not an integer one"):
+        from_table(table, 0)
 
 
 def test_from_table_rejects_non_associative():

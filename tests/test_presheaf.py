@@ -59,6 +59,23 @@ def test_disconnected_fiber_rejected():
         MetricPresheaf.build(base, proj=[0, 0], restrict=[[0], [1]], edges=[])
 
 
+@pytest.mark.parametrize(
+    "restrict, message",
+    [
+        ([[0.0], [1.0]], "not an integer one"),
+        ([[0], [2**32 + 1]], "restriction value out of range"),
+    ],
+)
+def test_restrict_is_checked_before_it_is_narrowed(restrict, message):
+    base = Semilattice(meet=np.array([[0]]))
+    with pytest.raises(ValidationError, match=message):
+        MetricPresheaf.build(base, proj=[0, 0], restrict=restrict, edges=[(0, 1)])
+    p = MetricPresheaf.build(
+        base, proj=[0, 0], restrict=np.array([[0], [1]]), edges=[(0, 1)]
+    )
+    assert p.restrict.dtype == np.int16
+
+
 def test_cross_fiber_edge_rejected():
     base = Semilattice(meet=np.minimum.outer(np.arange(2), np.arange(2)))
     with pytest.raises(ValidationError, match="fibers"):
