@@ -80,19 +80,17 @@ def cayley_metric(monoid, gens):
     idempotent letter e with e t L t fixes t: e t <= t with the same
     dom, so e t = t dom(e t) = t.
 
-    The metric passes all five predicates of
-    ``geometry.validate_metric_predicates``, with its derived F1, which is
-    why ``verify`` runs them on the Rips metric only.  Write dom(s) for
-    s^-1 s, so that s L t iff dom(s) = dom(t).
+    The metric has the five properties of a uniformly proper metric on S,
+    with F1 the symmetrized generators, the result's ``generators``, so
+    ``verify`` passes word-metric-predicates once it builds.  Write dom(s)
+    for s^-1 s, so that s L t iff dom(s) = dom(t).
 
     - Components: ``first_split`` below checks that they are the L-classes.
     - Uniform discreteness: distances count edges, so distinct points are
       at least 1 apart.
     - Properness: for s L t, (t s^-1) s = t dom(s) = t dom(t) = t.
-    - Uniform properness: take an edge s -> g s with g s L s and
-      g s != s.  Its factor (g s) s^-1 solves f s = g s dom(s) = g s, and
-      its least distance is 1, so it is in the derived F1.  So each edge
-      over the generators is an edge over F1 inside L_s, and d_F1 <= d.
+    - Uniform properness: F1 is the letter set of the search, so each
+      edge s -> g s inside L_s is an edge over F1, and d_F1 <= d.
     - Right-subinvariance: for t in L_s, dom(t x) = x^-1 dom(t) x =
       x^-1 dom(s) x, so right multiplication by x maps L_s into L_{s x},
       and an edge t -> g t of L_s to the edge t x -> g (t x) of L_{s x},

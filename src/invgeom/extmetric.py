@@ -86,32 +86,25 @@ class ExtendedMetric:
         at = self.position[pts]
         return self.block(c[0])[at[:, None], at]
 
-    def pairs(self, rows):
-        """(x, y, d(x, y)) for every finite pair with x in ``rows``, in row-major
-        order when ``rows`` increase."""
-        c = self.label[rows]
-        width = self.sizes[c]
-        x = np.repeat(rows, width)
-        # pair i is the k-th of its row, k = i - before, and y is the k-th
-        # point of x's component
-        before = np.cumsum(width) - width
-        i = np.arange(x.size)
-        first = np.cumsum(self.sizes) - self.sizes
-        y = np.concatenate(self.points)[i + np.repeat(first[c] - before, width)]
-        return x, y, self.table[i + np.repeat(self.row_start[rows] - before, width)]
-
     def row_blocks(self):
-        """(x, y, d) as ``pairs`` gives them for every row, a block at a time.
-        Rows come component by component, increasing within each, so a
-        block's pairs are a run of ``table``, which ``d`` is, and each
+        """(x, y, d(x, y)) for every finite pair, a block of whole rows at a
+        time.  Rows come component by component, increasing within each,
+        so a block's pairs are a run of ``table``, which ``d`` is, and each
         component's are in row-major order.  A block holds under
         BLOCK_PAIRS pairs beyond its first row's."""
         rows = np.concatenate([np.zeros(0, dtype=np.intp), *self.points])
         ends = np.cumsum(self.sizes[self.label[rows]])
+        first = np.cumsum(self.sizes) - self.sizes  # each component's start in rows
         cuts = np.arange(BLOCK_PAIRS, ends[-1] if ends.size else 0, BLOCK_PAIRS)
         for block in np.split(rows, np.searchsorted(ends, cuts, "right")):
             if block.size:
-                x, y, _ = self.pairs(block)
+                c = self.label[block]
+                width = self.sizes[c]
+                x = np.repeat(block, width)
+                # pair i is the k-th of its row, k = i - before, and y is the
+                # k-th point of x's component
+                before = np.cumsum(width) - width
+                y = rows[np.arange(x.size) + np.repeat(first[c] - before, width)]
                 start = self.row_start[block[0]]
                 yield x, y, self.table[start : start + x.size]
 

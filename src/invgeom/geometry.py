@@ -22,7 +22,6 @@ from .extmetric import (
     all_pairs_bfs,
     bfs,
     classes,
-    first_increases,
     first_split,
     successor_array,
     trace_paths,
@@ -77,20 +76,11 @@ class RipsGraph:
 @dataclass(frozen=True, eq=False)
 class MetricPredicateReport:
     components: CheckResult
-    uniform_discreteness: CheckResult
-    right_subinvariance: CheckResult
-    properness: CheckResult
     uniform_properness: CheckResult
 
     @property
     def checks(self):
-        return (
-            self.components,
-            self.uniform_discreteness,
-            self.right_subinvariance,
-            self.properness,
-            self.uniform_properness,
-        )
+        return (self.components, self.uniform_properness)
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,95 +398,40 @@ def rips_embedding_bounds(a, x1, rips):
     return sorted(out, key=lambda v: v.witness)
 
 
-def validate_metric_predicates(monoid, metric, f1=None):
-    """Report on the four structural predicates of an extended metric on S.
+def validate_metric_predicates(monoid, metric, f1):
+    """Report on the two predicates of a Rips metric on S that can fail.
 
-    Components must be the L-classes; distinct points must be uniformly
-    separated; right multiplication must not increase distances; every
-    radius must admit a finite set of left factors; and a single finite
-    set F1 must witness all radii through its powers.  ``f1`` overrides
-    the derived witness.
+    Components must be the L-classes, and the finite set ``f1`` must
+    witness uniform properness: d_F1(x, y) <= d(x, y) on every finite
+    pair.  Write dom(s) = s^-1 s, so that s L t iff dom(s) = dom(t), and
+    x1 for the basepoint.  Once the action passes ``validate_action``,
+    the Rips metric has three more predicates, with no sweep needed:
+
+    - Every Rips edge joins L-related elements: fiber preservation gives
+      p(x1.s) = s^-1 p(x1) s = dom(s), so x1.s and x1.t share a fiber iff
+      s L t.  A component can split an L-class, but never joins two.
+    - Uniform discreteness: it is a path metric, so distinct points are
+      at least 1 apart.
+    - Properness: a finite pair (s, t) is L-related, and
+      (t s^-1) s = t dom(s) = t dom(t) = t, so its left factor exists.
+    - Right-subinvariance: for an edge s ~ t and any g, the action law
+      gives x1.(s g) = (x1.s).g, and 1-Lipschitz
+      d(x1.s g, x1.t g) <= d(x1.s, x1.t) <= floor(R).  So s g ~ t g, or
+      s g = t g, and a path maps to a walk no longer.
+
+    Uniform properness stays a check: a factor t s^-1 of an edge moves
+    x1 at most R, but the cover holds it only as f e, and f s may differ
+    from t.
     """
     split = first_split(metric.label, monoid.dom_table)
     components = CheckResult(
         "components-are-L-classes", split is None, witness=split
     )
-    uniform_discreteness, properness, least = _check_pairs(monoid, metric)
-    right_subinvariance = _check_right_subinvariance(monoid, metric)
-    if f1 is None:
-        f1 = tuple(np.flatnonzero(least <= 1).tolist())
-    else:
-        f1 = tuple(sorted(set(int(f) for f in f1)))
-    uniform_properness = _check_uniform_properness(monoid, metric, f1)
+    f1 = tuple(sorted(set(int(f) for f in f1)))
     return MetricPredicateReport(
         components=components,
-        uniform_discreteness=uniform_discreteness,
-        right_subinvariance=right_subinvariance,
-        properness=properness,
-        uniform_properness=uniform_properness,
+        uniform_properness=_check_uniform_properness(monoid, metric, f1),
     )
-
-
-def _check_pairs(monoid, metric):
-    """Uniform discreteness and properness, and each factor's least distance.
-
-    The separation is the least distance between distinct points.
-    Properness sweeps the finite pairs of distinct points in row-major
-    order, a few rows at a time: a pair (x, y) counts toward the least f
-    with f x = y; the first pair with no such f fails, and only the pairs
-    before it count.
-    """
-    gaps = [int(d[x != y].min()) for x, y, d in metric.row_blocks() if (x != y).any()]
-    gap = float(min(gaps)) if gaps else None
-    uniform_discreteness = CheckResult(
-        "uniformly-discrete",
-        gap is None or gap > 0,
-        data={"separation": gap},
-    )
-    n, product = monoid.order, monoid.product
-    least = np.full(n, np.inf)
-    fail = None
-    step = max(1, (1 << 12) // int(metric.sizes.max(initial=1)))
-    for lo in range(0, n, step):
-        xs, ys, dist = metric.pairs(np.arange(lo, min(lo + step, n)))
-        off = xs != ys
-        xs, ys, dist = xs[off], ys[off], dist[off]
-        factors = product[ys, monoid.inverse[xs]]  # y x^-1, when it solves f x = y
-        for i in np.flatnonzero(product[factors, xs] != ys):
-            sols = np.flatnonzero(product[:, xs[i]] == ys[i])
-            if not sols.size:
-                fail = (int(xs[i]), int(ys[i]))
-                factors, dist = factors[:i], dist[:i]
-                break
-            factors[i] = sols[0]
-        # each factor counts from the least distance of a pair it solves
-        np.minimum.at(least, factors, dist)
-        if fail is not None:
-            break
-    if fail is not None:
-        properness = CheckResult("proper", False, witness=fail)
-    else:
-        found = least[np.isfinite(least)].astype(np.intp)
-        counts = np.cumsum(np.bincount(found, minlength=metric.max_finite() + 1))
-        properness = CheckResult(
-            "proper", True, data={"factor_counts": dict(enumerate(counts.tolist()))}
-        )
-    return uniform_discreteness, properness, least
-
-
-def _check_right_subinvariance(monoid, metric):
-    """d(s x, u x) <= d(s, u) for all s, u and every x in a generating set.
-
-    Exact for every x: if x and y pass, so does x y, since
-    d(s x y, u x y) <= d(s x, u x) <= d(s, u), and every element is a
-    product of the generating set.  A witness names an x of that set.
-    """
-    gens = monoid.generating_set
-    found = first_increases(metric, monoid.product[:, list(gens)])
-    if not found:
-        return CheckResult("right-subinvariant", True)
-    j, x, y = min((j, x, y) for _, j, x, y in found)
-    return CheckResult("right-subinvariant", False, witness=(x, y, gens[j]))
 
 
 def _check_uniform_properness(monoid, metric, f1):

@@ -11,6 +11,7 @@ import pytest
 
 from invgeom import PartialBijection, cayley_self_action, symmetric_inverse_monoid
 from invgeom.extmetric import UNREACHED, ExtendedMetric, bfs, classes, narrow
+from invgeom.report import CheckResult
 
 
 def enumerate_partial_bijections(n):
@@ -82,6 +83,61 @@ def first_increase(metric, points, images):
     if not bad.any():
         return None
     return divmod(int(np.argmax(bad)), len(points))
+
+
+def properness_loop(monoid, metric):
+    """Properness, and the F1 it derives: the oracle of the proof in
+    ``geometry.validate_metric_predicates``.
+
+    Each finite pair (x, y) of distinct points needs a left factor f with
+    f x = y, tried first as y x^-1 and then as the least solution; the
+    first pair in row-major order with none fails.  Passing, the data
+    gives for each radius r the number of least factors of pairs at most
+    r apart, and the F1 returned holds those of pairs at most 1 apart.
+    """
+    n = monoid.order
+    t = dense(metric)
+    product = monoid.product
+    xs, ys = np.nonzero(np.isfinite(t) & ~np.eye(n, dtype=bool))
+    factors = product[ys, monoid.inverse[xs]]
+    fail = None
+    for i in np.flatnonzero(product[factors, xs] != ys):
+        sols = np.flatnonzero(product[:, xs[i]] == ys[i])
+        if not sols.size:
+            fail = i
+            break
+        factors[i] = sols[0]
+    factors, dist = factors[:fail], t[xs[:fail], ys[:fail]]
+    if fail is not None:
+        proper = CheckResult("proper", False, witness=(int(xs[fail]), int(ys[fail])))
+    else:
+        sizes = {
+            r: len(set(factors[dist <= r].tolist()))
+            for r in range(metric.max_finite() + 1)
+        }
+        proper = CheckResult("proper", True, data={"factor_counts": sizes})
+    return proper, tuple(sorted(set(factors[dist <= 1].tolist())))
+
+
+def dense_subinvariance_witness(monoid, table):
+    """The least (s, u, x) with d(s x, u x) > d(s, u), x over the
+    generating set and (s, u) in row-major order, on an N x N table;
+    None when right multiplication never increases a distance.  The
+    oracle of right-subinvariance, which a Rips or word metric has by
+    proof."""
+    for x in monoid.generating_set:
+        moved = monoid.product[:, x]
+        bad = np.argwhere(table[np.ix_(moved, moved)] > table)
+        if bad.size:
+            return (*bad[0].tolist(), x)
+    return None
+
+
+def separation(metric):
+    """The least distance between distinct points, None with no such pair."""
+    table = dense(metric)
+    off = table[np.isfinite(table) & ~np.eye(metric.size, dtype=bool)]
+    return int(off.min()) if off.size else None
 
 
 def qi_bounds_hold(report, mapped, da, db):

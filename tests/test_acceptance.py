@@ -38,8 +38,11 @@ from invgeom.verify import check_edge_pairing
 
 from conftest import (
     dense,
+    dense_subinvariance_witness,
     enumerate_partial_bijections,
+    properness_loop,
     qi_bounds_hold,
+    separation,
     transposition_indices,
 )
 
@@ -157,7 +160,10 @@ def test_criterion_6_rips_metric_predicates(radius, i3, i3_action):
     result = validate_metric_predicates(i3, rips.metric, f1=f1)
     for check in result.checks:
         assert check.passed, f"R={radius}: {check}"
-    assert result.uniform_discreteness.data["separation"] >= 1
+    # the predicates proved from the action axioms, by their oracles
+    assert separation(rips.metric) >= 1
+    assert properness_loop(i3, rips.metric)[0].passed
+    assert dense_subinvariance_witness(i3, dense(rips.metric)) is None
     report(6, f"R={radius}: all predicates pass with F1 from the radius-{radius} cover")
 
 
@@ -181,7 +187,7 @@ def test_criterion_8_quasi_generators_from_metrics(i3, i3_transpositions, i3_act
     x1 = i3.identity
     word = cayley_metric(i3, i3_transpositions)
     for name, metric, f1 in (
-        ("d_M", word.metric, None),
+        ("d_M", word.metric, word.generators),
         ("d^1", rips_graph(i3_action, x1, 1).metric, properness_witness(i3_action, x1, 1)),
     ):
         predicates = validate_metric_predicates(i3, metric, f1=f1)

@@ -228,6 +228,20 @@ def test_chain_example_emit_and_verify(tmp_path):
     assert code == 0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="orbit-inequalities applies the +2 bound of the extracted "
+    "generators to the word metric of --gens, and FAILs with witness (111,)",
+)
+def test_i4_verify_over_the_adjacent_transpositions_passes(tmp_path, capsys):
+    # 2, 7 and 34 are (0 1), (1 2) and (2 3); every other check passes.
+    # The verdict is wrong, and the strict marker fails the suite once
+    # the check uses the bound of its proof and this exits 0
+    assert main(["examples", "emit", "i4", "--out-dir", str(tmp_path)]) == 0
+    args = ["verify", "--input", str(tmp_path / "i4.action.json"), "--gens", "2,7,34"]
+    assert main(args) == 0
+
+
 def test_cap_environment_variable(i2_files, monkeypatch, capsys):
     # every sweep is exhaustive, so the old cap variable changes nothing,
     # whatever it holds

@@ -30,7 +30,14 @@ from invgeom.families import chain_semilattice, cyclic_group_table
 from invgeom.report import Violation
 from invgeom.verify import run_verification
 
-from conftest import block_metric, dense, qi_bounds_hold
+from conftest import (
+    block_metric,
+    dense,
+    dense_subinvariance_witness,
+    properness_loop,
+    qi_bounds_hold,
+    separation,
+)
 from test_action import half_rotation_action
 
 
@@ -220,10 +227,13 @@ def test_rips_fractional_radius_exact(i2, i2_swap, i2_action):
 
 def test_metric_predicates_word_metric(i3, i3_transpositions):
     cm = cayley_metric(i3, i3_transpositions)
-    report = validate_metric_predicates(i3, cm.metric)
+    report = validate_metric_predicates(i3, cm.metric, f1=cm.generators)
     assert all(c.passed for c in report.checks)
-    assert report.uniform_discreteness.data["separation"] >= 1
-    sizes = report.properness.data["factor_counts"]
+    assert separation(cm.metric) >= 1
+    proper, _ = properness_loop(i3, cm.metric)
+    assert proper.passed
+    assert dense_subinvariance_witness(i3, dense(cm.metric)) is None
+    sizes = proper.data["factor_counts"]
     assert sizes[0] == 0  # no distinct pairs at distance 0
     assert all(v > 0 for r, v in sizes.items() if r >= 1)
 
@@ -245,14 +255,14 @@ def test_metric_predicates_catch_wrong_components(i2, i2_swap):
     # one component across the L-classes of the identity and of e0
     a, b = (cm.metric.points[cm.metric.label[x]] for x in (i2.identity, e0))
     bad[np.ix_(a, b)] = bad[np.ix_(b, a)] = 5.0
-    report = validate_metric_predicates(i2, block_metric(bad))
+    report = validate_metric_predicates(i2, block_metric(bad), f1=(i2_swap,))
     assert not report.components.passed
     assert report.components.witness is not None
 
 
 def test_quasi_generators_from_word_metric(i3, i3_transpositions):
     cm = cayley_metric(i3, i3_transpositions)
-    report = validate_metric_predicates(i3, cm.metric)
+    report = validate_metric_predicates(i3, cm.metric, f1=cm.generators)
     cert = quasi_generators_from_metric(i3, cm.metric, report)
     for s, word in cert.factorizations.items():
         d = cm.metric.dist(s, i3.dom(s))
@@ -275,7 +285,7 @@ def test_quasi_generators_trivial():
     m = trivial_monoid()
     act = cayley_self_action(m, [])
     rips = rips_graph(act, 0, 1)
-    report = validate_metric_predicates(m, rips.metric)
+    report = validate_metric_predicates(m, rips.metric, f1=())
     cert = quasi_generators_from_metric(m, rips.metric, report)
     assert cert.generators == ()
     assert cert.factorizations == {}
@@ -394,11 +404,11 @@ def test_right_subinvariance_over_generators_matches_all_x(i3, i3_transpositions
         s, u = finite[rng.integers(len(finite))]
         bent = np.array(table)
         bent[s, u] -= 1
-        check = validate_metric_predicates(i3, block_metric(bent)).right_subinvariance
+        witness = dense_subinvariance_witness(i3, bent)
         violators = _subinvariance_violations(i3, bent)
-        assert check.passed == (not violators)
+        assert (witness is None) == (not violators)
         if violators:
-            a, b, x = check.witness
+            a, b, x = witness
             # the least violator is in G: G holds each element that the
             # elements before it do not generate
             assert x == violators[0] and x in gens

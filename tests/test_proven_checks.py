@@ -10,11 +10,21 @@ them changes no verdict.  On the same act and restrict mutants, the
 validators' array sweeps give the finding lists of the per-fiber loops
 they replaced, kept below as oracles.
 
-The five predicates of `validate_metric_predicates` hold on every word
-metric `cayley_metric` builds (the proof is there), which is checked on
-the bundled examples and 4-chain x Z/60, over their own and seeded random
-generating sets.
+Every word metric `cayley_metric` builds is uniformly proper over its
+symmetrized generators, with L-class components, separation at least 1,
+properness and right-subinvariance (the proof is there).  Every Rips
+metric of an action that passes the action axioms has the last three
+(the proof is in `validate_metric_predicates`, which checks only the
+first two), and where those two pass, F1 quasi-generates with the size
+`verify` reports (the proof is in `verify._rips_quasi_generators`).  The
+three are checked by the oracles in conftest; the word and Rips metrics
+on the bundled examples and 4-chain x Z/60, over their own and seeded
+random generating sets, and the Rips metrics, at radii 0 to 2 by halves,
+also on every one-entry act mutant of the three small examples that
+passes the action axioms.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +36,7 @@ from invgeom import (
     cayley_metric,
     cayley_self_action,
     from_table,
+    quasi_generators_from_metric,
     semilattice_times_group,
     validate_action,
     validate_metric_predicates,
@@ -37,12 +48,20 @@ from invgeom.families import chain_semilattice, cyclic_group_table
 from invgeom.monoid import row_blocks
 from invgeom.report import Violation
 from invgeom.verify import (
+    VerificationRun,
+    _rips_quasi_generators,
     check_edge_pairing,
     check_theta_all,
     check_word_metric_agreement,
 )
 
-from conftest import first_increase
+from conftest import (
+    dense,
+    dense_subinvariance_witness,
+    first_increase,
+    properness_loop,
+    separation,
+)
 
 EXAMPLES = ("i2", "chain2_z2", "chain3_z3")
 
@@ -244,25 +263,95 @@ def quasi_generated(name):
     return built.monoid, built.quasi_generators
 
 
-@pytest.mark.parametrize(
-    "name", ["trivial", "i1", "i2", "i3", "i4", "chain2_z2", "chain3_z3", "chain4_z60"]
-)
-def test_every_word_metric_passes_the_five_predicates(name):
+def word_metrics(name, count):
+    """The monoid, then (letters, word metric) for its own set and for
+    each of ``count`` seeded random sets that quasi-generates: one to
+    three random elements, alone or added to the example's own set."""
     monoid, gens = quasi_generated(name)
     rng = np.random.default_rng(19)
-    # one to three random elements, alone or added to the example's own set
     sets = [gens] + [
         rng.choice(monoid.order, size=min(k, monoid.order), replace=False).tolist()
         + (list(gens) if i % 2 else [])
-        for i, k in enumerate(rng.integers(1, 4, size=24))
+        for i, k in enumerate(rng.integers(1, 4, size=count))
     ]
-    built = 0
+    built = []
     for letters in sets:
         try:
-            word = cayley_metric(monoid, letters)
+            built.append((letters, cayley_metric(monoid, letters)))
         except PreconditionError:
             continue  # not quasi-generating
-        built += 1
-        report = validate_metric_predicates(monoid, word.metric)
+    assert built and built[0][0] is gens  # the example's own set builds
+    return monoid, built
+
+
+def proven_predicates_hold(monoid, metric):
+    """Separation at least 1, properness and right-subinvariance, by the
+    oracles: the three predicates `validate_metric_predicates` leaves to
+    its proof."""
+    gap = separation(metric)
+    return (
+        (gap is None or gap >= 1)
+        and properness_loop(monoid, metric)[0].passed
+        and dense_subinvariance_witness(monoid, dense(metric)) is None
+    )
+
+
+SELF_ACTIONS = ["trivial", "i1", "i2", "i3", "i4", "chain2_z2", "chain3_z3", "chain4_z60"]
+RIPS_RADII = (0, Fraction(1, 2), 1, Fraction(3, 2), 2)
+
+
+@pytest.mark.parametrize("name", SELF_ACTIONS)
+def test_every_word_metric_passes_the_five_predicates(name):
+    monoid, built = word_metrics(name, 24)
+    for letters, word in built:
+        report = validate_metric_predicates(monoid, word.metric, f1=word.generators)
         assert all(c.passed for c in report.checks), (letters, report.checks)
-    assert built >= 1  # the example's own set
+        assert proven_predicates_hold(monoid, word.metric), letters
+
+
+def rips_sweep(action, gens):
+    """Check every Rips metric of ``action`` at RIPS_RADII: the proven
+    predicates hold, and where rips-predicates passes, F1 quasi-generates
+    with the f1_size that `verify` reports.  Returns how many passed."""
+    monoid = action.monoid
+    x1 = min(action.identity_fiber())
+    passed = 0
+    for radius in RIPS_RADII:
+        run = VerificationRun(action, tuple(gens), x1, Fraction(radius))
+        metric = run.rips.metric
+        assert proven_predicates_hold(monoid, metric), radius
+        report = run.rips_report
+        if all(c.passed for c in report.checks):
+            passed += 1
+            cert = quasi_generators_from_metric(monoid, metric, report)
+            assert len(cert.generators) == _rips_quasi_generators(run).data["f1_size"]
+    return passed
+
+
+@pytest.mark.parametrize("name", SELF_ACTIONS)
+def test_every_rips_metric_of_a_self_action_passes_the_proven_predicates(name):
+    monoid, built = word_metrics(name, 6)
+    passed = 0
+    for letters, _ in built:
+        passed += rips_sweep(cayley_self_action(monoid, letters), letters)
+    assert passed >= 1
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_every_rips_metric_of_an_act_mutant_passes_the_proven_predicates(name):
+    # every one-entry act mutant of these self-actions breaks the action
+    # law, so for now the sweep covers the unmutated action alone; an
+    # action that is not a self-action would give it mutants to cover
+    built = build_example(name)
+    action = cayley_self_action(built.monoid, built.quasi_generators)
+    p = action.presheaf
+    actions = [action] + [
+        mutant
+        for mutant in (
+            EtaleAction(built.monoid, p, act)
+            for act in one_entry_mutants(action.act, p.num_points)
+        )
+        if not validate_action(mutant)
+    ]
+    for a in actions:
+        rips_sweep(a, built.quasi_generators)

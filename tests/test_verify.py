@@ -6,7 +6,9 @@ import sys
 from pathlib import Path
 from unittest.mock import patch
 
-from invgeom import action, geometry, verify
+from invgeom import action, extmetric, geometry, verify
+from invgeom.action import validate_action
+from invgeom.presheaf import validate_presheaf
 from invgeom.verify import run_verification
 
 from test_action import stranded_point_action
@@ -147,6 +149,24 @@ def test_one_run_reuses_its_cobound_and_covers(i3_action, i3_transpositions):
     assert counts == {"coboundedness_constant": 1, "properness_witness": 1}
     counts = _calls(shared, run_verification, i3_action, i3_transpositions, 2)
     assert counts == {"coboundedness_constant": 1, "properness_witness": 2}
+
+
+def test_a_passing_run_sweeps_only_the_rips_predicates_that_can_fail(
+    i3_action, i3_transpositions
+):
+    # first_increases serves the presheaf and action validators alone, and
+    # rips-quasi-generators builds no certificate
+    assert run_verification(i3_action, i3_transpositions, 2)[1]
+    watched = (extmetric.first_increases, geometry.quasi_generators_from_metric)
+    counts = _calls(watched, run_verification, i3_action, i3_transpositions, 2)
+    validators = _calls(
+        watched,
+        lambda a: (validate_presheaf(a.presheaf), validate_action(a)),
+        i3_action,
+    )
+    assert validators["first_increases"] > 0
+    assert counts == validators
+    assert counts["quasi_generators_from_metric"] == 0
 
 
 def _benchmark_tracer():
