@@ -58,9 +58,13 @@ class EtaleAction:
 
 
 def cayley_self_action(monoid, gens):
-    """The monoid acting on its own Cayley presheaf by right multiplication."""
-    p = cayley_presheaf(monoid, gens)
-    return EtaleAction(monoid=monoid, presheaf=p, act=monoid.product)
+    """The monoid acting on its own Cayley presheaf by right multiplication.
+
+    ``act`` is the product table read whole, before the presheaf reads
+    its columns, so a generated monoid fills its table once.
+    """
+    act = np.asarray(monoid.product)
+    return EtaleAction(monoid=monoid, presheaf=cayley_presheaf(monoid, gens), act=act)
 
 
 def validate_action(a):

@@ -1,9 +1,12 @@
 """Finite inverse monoids as fully enumerated multiplication tables.
 
-Elements are integer indices into an N x N product table.  Monoids built
-from partial bijections keep their canonical image arrays and build each
-bijection when it is read; indices are assigned by sorting those arrays,
-so they are deterministic regardless of generator order.
+Elements are integer indices, and ``product[a, b]`` is the index of a b.
+A monoid given by its table holds the N x N table.  A monoid generated
+from partial bijections holds only its letter rows and its breadth-first
+tree (``Products``), and fills the table when it is read whole.  It
+keeps its canonical image arrays and builds each bijection when it is
+read; indices are assigned by sorting those arrays, so they are
+deterministic regardless of generator order.
 """
 
 import os
@@ -51,9 +54,95 @@ class Elements(Sequence):
         return PartialBijection(n, tuple(UNDEFINED if y == n else y for y in row))
 
 
+class Products:
+    """The product table of a generated monoid, read through its letter rows.
+
+    Backed by the read-only letter rows ``at``, row h holding h x for every
+    x, and the breadth-first tree by element index, the rows of ``tree``:
+    each element a is ``parent[a]`` times the letter ``letter[a]``, and
+    lies ``depth[a]`` letters from the identity, which is its own parent
+    by letter 0, the identity.  So a b = parent[a] (letter[a] b), and an
+    entry is read by at most depth gathers from the letter rows.  Keys are
+    ints, index arrays and slices, in one or two positions, with numpy's
+    result shapes.  The table is filled when it is read whole
+    (``np.asarray``), once, and every later read indexes it.
+    """
+
+    def __init__(self, at, tree):
+        at.setflags(write=False)
+        tree.setflags(write=False)
+        self.at, self.tree = at, tree
+        self.parent, self.letter, self.depth = tree
+        # where each element's letter row starts in the flat letter rows
+        self._start = self.letter * len(self.depth)
+        self._table = None
+
+    @property
+    def shape(self):
+        return (len(self.depth),) * 2
+
+    @property
+    def dtype(self):
+        return self.at.dtype
+
+    @property
+    def nbytes(self):
+        """The bytes held: the letter rows, the tree, the row starts, and a
+        filled table."""
+        held = (self.at, self.tree, self._start, self._table)
+        return sum(a.nbytes for a in held if a is not None)
+
+    def __getitem__(self, key):
+        if self._table is not None:
+            return self._table[key]
+        rows, cols = (*(key if isinstance(key, tuple) else (key,)), slice(None))[:2]
+        # slices become aranges, shaped to broadcast as numpy lays them out
+        elems = np.arange(len(self.depth))
+        if isinstance(cols, slice):
+            cols = elems[cols]
+            if not isinstance(rows, slice):
+                rows = np.expand_dims(rows, -1)
+        if isinstance(rows, slice):
+            rows = elems[rows].reshape((-1,) + (1,) * np.ndim(cols))
+        # a b = parent[a] (letter[a] b): walk a up the tree, gathering b
+        a, x = np.asarray(rows), np.asarray(cols)
+        shape, flat = np.broadcast_shapes(a.shape, x.shape), self.at.ravel()
+        for _ in range(self.depth[a].max(initial=0)):
+            x = flat[self._start[a] + x]
+            a = self.parent[a]
+        return np.broadcast_to(x, shape).astype(self.dtype)[()]
+
+    def __array__(self, dtype=None, copy=None):
+        if self._table is None:
+            self._table = self._filled()
+        return np.array(self._table, dtype=dtype, copy=copy)
+
+    def _filled(self):
+        """The whole table, read-only.  The identity's row is letter row 0,
+        and every other row a is the row of parent[a] gathered at letter
+        row letter[a], since (p h) x = p (h x).  The levels of equal depth
+        are filled one after another, and the rows of a level of at least
+        ``_THREADED_CELLS`` cells are split across the CPUs this process
+        may run on."""
+        n = len(self.depth)
+        table = np.empty((n, n), self.dtype)
+        order = np.argsort(self.depth, kind="stable")
+        table[order[0]] = self.at[0]
+        steps = np.stack([order, self.parent[order], self.letter[order]])
+        # where each level past the identity's starts, and the end
+        bounds = np.searchsorted(self.depth[order], np.arange(1, self.depth.max() + 2))
+        at = self.at.astype(np.intp)  # take() converts narrower indices each call
+        cpus = _usable_cpus()
+        for lo, hi in zip(bounds, bounds[1:]):
+            workers = min(cpus, hi - lo) if (hi - lo) * n >= _THREADED_CELLS else 1
+            _fill_level(table, at, steps[:, lo:hi], workers)
+        table.setflags(write=False)
+        return table
+
+
 @dataclass(frozen=True, eq=False)
 class InverseMonoid:
-    product: np.ndarray          # (N, N) element indices
+    product: np.ndarray | Products  # (N, N) indices; Products if generated
     inverse: np.ndarray          # (N,)
     identity: int
     idempotent_mask: np.ndarray  # (N,) bool
@@ -281,16 +370,18 @@ def build_from_tables(product, identity, elements=None, labels=None, inverse=Non
     inverses, and that idempotents commute.  Raises ValidationError with a
     witness on the first failure.
 
-    With ``elements`` given, ``product`` must be their composition table
-    as ``generate_monoid`` builds it, and neither associativity nor the
-    range of its entries is checked.  It is associative because
-    composition of maps is.  Its entries are in range by induction over
-    the breadth-first levels in which the rows are filled: a letter's row
-    is the exact lookup of its products' codes among the elements' codes,
-    and every other row a h gathers row a at the entries of the letter
-    row h.  So the gather indices are entries of letter rows, all in
-    range, and the clip mode never clips; and row a h holds only entries
-    of row a, whose level comes before it.
+    A ``Products`` table, the composition table of ``elements`` as
+    ``generate_monoid`` builds it, is held as it is, and neither its
+    associativity nor the range of its entries is checked; the identity,
+    inverse and idempotent checks read its entries.  It is associative
+    because composition of maps is.  Its entries are in range by
+    induction over the breadth-first levels: a letter row is the exact
+    lookup of its products' codes among the elements' codes, so it is in
+    range, and the entry a b is read as at[letter[a], x] for x = b or x
+    an entry of a letter row, so every read stays in range.  The fill
+    gathers row parent[a] at the entries of the letter row letter[a] for
+    row a, so the clip mode never clips, and row a holds only entries of
+    a row whose level comes before it.
 
     A candidate ``inverse`` replaces the search for inverses: with commuting
     idempotents it proves them unique (Howie, Fundamentals of Semigroup
@@ -302,35 +393,39 @@ def build_from_tables(product, identity, elements=None, labels=None, inverse=Non
     t = t t^-1 e t = e t t^-1 t = e t, idempotents commuting; and so
     x^-1 (x t) = e t = t.
     """
-    product = np.asarray(product)
-    if product.ndim != 2 or product.shape[0] != product.shape[1]:
-        raise ValidationError(f"product table is not square: {product.shape}")
+    generated = isinstance(product, Products)
+    if not generated:
+        product = np.asarray(product)
+        if product.ndim != 2 or product.shape[0] != product.shape[1]:
+            raise ValidationError(f"product table is not square: {product.shape}")
+        if product.shape[0] == 0:
+            raise ValidationError("empty product table")
+        if product.dtype.kind not in "iu":
+            raise ValidationError(
+                f"product table has dtype {product.dtype}, not an integer one"
+            )
+        n = product.shape[0]
+        if product.min() < 0 or product.max() >= n:
+            bad = np.argwhere((product < 0) | (product >= n))[0]
+            raise ValidationError(
+                f"table entry out of range at {tuple(bad)}",
+                witness=tuple(int(x) for x in bad),
+            )
+        # checked in the caller's dtype, so narrowing changes no entry
+        product = product.astype(index_dtype(n), copy=False)
     n = product.shape[0]
-    if n == 0:
-        raise ValidationError("empty product table")
-    if product.dtype.kind not in "iu":
-        raise ValidationError(
-            f"product table has dtype {product.dtype}, not an integer one"
-        )
-    if elements is None and (product.min() < 0 or product.max() >= n):
-        bad = np.argwhere((product < 0) | (product >= n))[0]
-        raise ValidationError(
-            f"table entry out of range at {tuple(bad)}",
-            witness=tuple(int(x) for x in bad),
-        )
-    # checked in the caller's dtype, so narrowing changes no entry
-    product = product.astype(index_dtype(n), copy=False)
     if not 0 <= identity < n:
         raise ValidationError(f"identity index {identity} out of range")
     _check_identity(product, identity)
-    gens = None if elements is not None else _check_associativity(product)
+    gens = None if generated else _check_associativity(product)
     if inverse is None:
         inverse = _inverse_table(product)
     else:
         inverse = _check_inverse(product, inverse)
     idem_mask = product[np.arange(n), np.arange(n)] == np.arange(n)
     _check_idempotents_commute(product, np.flatnonzero(idem_mask))
-    product.setflags(write=False)
+    if not generated:
+        product.setflags(write=False)
     inverse.setflags(write=False)
     idem_mask.setflags(write=False)
     monoid = InverseMonoid(
@@ -348,8 +443,9 @@ def build_from_tables(product, identity, elements=None, labels=None, inverse=Non
 
 
 def from_table(product, identity):
-    """Monoid from an explicit product table with opaque element indices."""
-    return build_from_tables(product, identity)
+    """Monoid from an explicit product table with opaque element indices;
+    a generated monoid's table is read whole and checked as any other."""
+    return build_from_tables(np.asarray(product), identity)
 
 
 def image_rows(maps, n):
@@ -413,12 +509,11 @@ def generate_monoid(gens, element_cap=100_000, ground_size=None):
 
     The closure of the identity is enumerated breadth-first by right
     multiplication by the letters (identity, generators and inverses), so
-    each element past the letters is a h for a parent a of the level
-    before it and a letter h.  A letter's row is the exact lookup of its
-    left products; row a h is row a gathered at letter row h, since
-    (a h) x = a (h x).  The levels are filled one after another, and the
-    rows of a level of at least ``_THREADED_CELLS`` cells are split
-    across the CPUs this process may run on.
+    each element past the identity is a h for a parent a of the level
+    before it and a letter h.  The product table holds no N x N array: it
+    is a ``Products`` of the letter rows, each the exact lookup of the
+    letter's left products, and of that tree, and it fills the table
+    only when it is read whole.
     """
     gens = list(gens)
     if not gens and ground_size is None:
@@ -432,9 +527,10 @@ def generate_monoid(gens, element_cap=100_000, ground_size=None):
     letters = letters.astype(np.min_scalar_type(n))
     # Breadth-first closure of the identity, the least row letters[0], under
     # right multiplication; a new element is parent * letter, first pair
-    # found, and bounds holds where each level starts.  sorted_codes holds
+    # found, and bounds holds where each level starts, then the count.  The
+    # identity is its own parent by letter 0, itself.  sorted_codes holds
     # the codes of images so far, in order.
-    images, parent, letter, bounds = letters[:1, :n], [-1], [-1], [0]
+    images, parent, letter, bounds = letters[:1, :n], [0], [0], [0]
     sorted_codes = image_codes(images)
     while bounds[-1] < len(images):
         frontier = np.pad(images[bounds[-1]:], ((0, 0), (0, 1)), constant_values=n)
@@ -453,24 +549,18 @@ def generate_monoid(gens, element_cap=100_000, ground_size=None):
     def index(imgs):
         return lookup(sorted_codes, image_codes(imgs))
 
-    count, rank, letter_rows = len(images), index(images), index(letters[:, :n])
+    count, rank = len(images), index(images)
     canon = images[np.argsort(rank)]
     reverse = np.full((count, n + 1), n)  # inverse images; column n is a sink
     reverse[np.arange(count)[:, None], canon] = np.arange(n)
-    # Level 0 is the identity and level 1 the other letters, whose rows
-    # are at; each later level is its columns of steps: its rows, their
-    # parent rows (by rank) and their letters.
-    at = [index(image[canon]) for image in letters]
-    product = np.empty((count, count), index_dtype(count))
-    for g, row in zip(letter_rows, at):
-        product[g] = row
-    steps = np.stack([rank, rank[parent], letter])
-    cpus = _usable_cpus()
-    for lo, hi in zip(bounds[2:], bounds[3:]):
-        workers = min(cpus, hi - lo) if (hi - lo) * count >= _THREADED_CELLS else 1
-        _fill_level(product, at, steps[:, lo:hi], workers)
+    at = np.array([index(image[canon]) for image in letters], index_dtype(count))
+    # parent, letter and depth, by element index; intp, as numpy indexes
+    # with intp arrays without converting them
+    tree = np.empty((3, count), np.intp)
+    depth = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    tree[:, rank] = rank[parent], letter, depth
     return build_from_tables(
-        product, rank[0], Elements(canon), inverse=index(reverse[:, :n])
+        Products(at, tree), rank[0], Elements(canon), inverse=index(reverse[:, :n])
     )
 
 

@@ -179,7 +179,7 @@ def test_every_source_holds_the_product_at_one_width(tmp_path, n):
     sources = [
         fileio.load_monoid_any(tmp_path / "g.json")[0],
         fileio.load_monoid_any(tmp_path / "m.json")[0],
-        from_table(monoid.product.astype(np.int64), monoid.identity),
+        from_table(np.asarray(monoid.product).astype(np.int64), monoid.identity),
     ]
     inline_tables(tmp_path / "m.json")
     (tmp_path / "m.product.npy").unlink()
@@ -438,7 +438,7 @@ def test_bad_sidecar_is_a_parse_error(
 def test_sidecar_bytes_depend_only_on_values(tmp_path, i2, i2_action):
     # every monoid holds an int16 table here; the writer gives a wider one
     # the same bytes
-    tables = [i2, replace(i2, product=i2.product.astype(np.int32))]
+    tables = [i2, replace(i2, product=np.asarray(i2.product).astype(np.int32))]
     acts = [i2_action.act.astype(dtype) for dtype in (np.int16, np.int32, np.int64)]
     acts.append(np.asfortranarray(acts[-1]))  # and in column-major order
     written = []

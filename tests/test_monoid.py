@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 import types
 from unittest.mock import patch
 
@@ -398,21 +399,72 @@ def test_product_table_matches_compose_oracle(name):
     assert elems[m.identity] == PartialBijection.identity(gens[0].ground_size)
 
 
+# the fill helper itself: the monkeypatched one below calls it, not a
+# helper patched by an earlier call
+_fill_level = monoid_module._fill_level
+
+
 def _generate_with_workers(gens, workers, monkeypatch):
-    """generate_monoid with every level filled on ``workers`` threads."""
-    fill = monoid_module._fill_level
+    """generate_monoid, its table then read whole with every level filled
+    on ``workers`` threads."""
 
     def forced(product, at, level, _):
-        fill(product, at, level, workers)
+        _fill_level(product, at, level, workers)
 
     monkeypatch.setattr(monoid_module, "_fill_level", forced)
-    return generate_monoid(gens)
+    m = generate_monoid(gens)
+    np.asarray(m.product)
+    return m
+
+
+def _source_keys(m, expected, seed):
+    """Every form of key the package reads a product table with, on
+    seeded index arrays."""
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(m.order, size=5), rng.integers(m.order, size=7)
+    elems, a, b = np.arange(m.order), int(rows[0]), int(cols[0])
+    return [
+        (a, b),
+        a,
+        rows,
+        (rows, slice(None)),
+        (slice(None), cols),
+        (a, slice(None)),
+        (slice(None), b),
+        (a, cols),
+        np.ix_(rows, cols),
+        (m.inverse, elems),  # dom_table
+        (elems, m.inverse),  # ran_table
+        (expected[elems, m.inverse], elems),  # _check_inverse
+        (m.inverse[rows][:, None], expected[rows]),  # check_edge_pairing
+        (m.inverse[rows][:, None], cols),  # validate_action
+        (expected[np.ix_(rows, cols)], expected[np.ix_(cols, rows)].T),
+        np.ix_(np.array([], dtype=np.intp), cols),  # mulclose, once closed
+    ]
+
+
+def _assert_entry_reads(m, expected, seed=0):
+    """Every key form and ``mul`` read ``expected``, and none fills the table."""
+    held = m.product.nbytes
+    for key in _source_keys(m, expected, seed):
+        got = m.product[key]
+        assert got.dtype == m.product.dtype
+        assert np.array_equal(got, expected[key]), key
+    rng = np.random.default_rng(seed)
+    for a, b in rng.integers(m.order, size=(50, 2)).tolist():
+        assert m.mul(a, b) == expected[a, b]
+    assert m.product.nbytes == held
 
 
 @pytest.mark.parametrize("name", ["i4", *(f"random-5-{seed}" for seed in range(6))])
 def test_every_worker_count_fills_the_same_table(name, monkeypatch):
     gens = GENERATING_SETS[name]()
     one = _generate_with_workers(gens, 1, monkeypatch)
+    elems = one.elements
+    index = {f.image: i for i, f in enumerate(elems)}
+    expected = np.array([[index[compose(a, b).image] for b in elems] for a in elems])
+    # entries read before any whole read
+    _assert_entry_reads(generate_monoid(gens), expected)
     # more workers than cores, switching threads as often as it can
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -420,11 +472,34 @@ def test_every_worker_count_fills_the_same_table(name, monkeypatch):
         three = _generate_with_workers(gens, 3, monkeypatch)
     finally:
         sys.setswitchinterval(interval)
-    assert one.product.tobytes() == three.product.tobytes()
-    elems = one.elements
-    index = {f.image: i for i, f in enumerate(elems)}
-    expected = np.array([[index[compose(a, b).image] for b in elems] for a in elems])
-    assert np.array_equal(three.product, expected)
+    table = np.asarray(three.product)
+    assert np.asarray(one.product).tobytes() == table.tobytes()
+    assert np.array_equal(table, expected)
+    # the filled table is held read-only, and every later read indexes it
+    assert np.asarray(three.product) is table and not table.flags.writeable
+    assert three.product.nbytes == generate_monoid(gens).product.nbytes + table.nbytes
+    key = np.ix_([0, 1], [1, 0])
+    assert np.array_equal(three.product[key], expected[key])
+
+
+def test_a_generated_i6_holds_no_table_until_read_whole():
+    # the I6 product table alone is 355 MB; the build and these reads
+    # peak near 4 MB
+    gens = symmetric_inverse_generators(6)
+    tracemalloc.start()
+    try:
+        m = generate_monoid(gens)
+        pairs = np.random.default_rng(301).integers(m.order, size=(200, 2))
+        products = [int(m.product[a, b]) for a, b in pairs.tolist()]
+        inverses = [int(m.inverse[a]) for a in pairs[:, 0].tolist()]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    elems = m.elements
+    for (a, b), ab, a_inv in zip(pairs.tolist(), products, inverses):
+        assert elems[ab] == compose(elems[a], elems[b])
+        assert elems[a_inv] == invert(elems[a])
 
 
 def _fill_small_table(rows):
@@ -500,7 +575,7 @@ class _CountedThread(threading.Thread):
 
 
 def test_generate_monoid_joins_every_thread(monkeypatch):
-    plain = generate_monoid(symmetric_inverse_generators(4))
+    plain = np.asarray(generate_monoid(symmetric_inverse_generators(4)).product)
     # every level of I4 is split, across more workers than cores
     monkeypatch.setattr(monoid_module, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(monoid_module, "_THREADED_CELLS", 1)
@@ -508,9 +583,10 @@ def test_generate_monoid_joins_every_thread(monkeypatch):
     _CountedThread.started = 0
     before = threading.active_count()
     m = generate_monoid(symmetric_inverse_generators(4))
+    table = np.asarray(m.product)  # the fill runs on this whole read
     assert threading.active_count() == before
     assert _CountedThread.started > 0
-    assert m.product.tobytes() == plain.product.tobytes()
+    assert table.tobytes() == plain.tobytes()
 
 
 def test_small_levels_stay_on_the_calling_thread(monkeypatch):
@@ -518,7 +594,9 @@ def test_small_levels_stay_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(monoid_module, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(monoid_module.threading, "Thread", _CountedThread)
     _CountedThread.started = 0
-    assert generate_monoid(symmetric_inverse_generators(4)).order == 209
+    m = generate_monoid(symmetric_inverse_generators(4))
+    np.asarray(m.product)  # the fill runs on this whole read
+    assert m.order == 209
     assert _CountedThread.started == 0
 
 
