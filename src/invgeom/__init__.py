@@ -8,9 +8,17 @@ metrics, word metrics, and Rips graphs.
 The names below are imported from their modules on first use (PEP 562),
 so a caller pays only for the layers it reads: building a monoid loads
 the algebra layer alone.
+
+No code here makes a BLAS call, so OpenBLAS's worker threads, started
+with numpy, would only spin beside it and take a second core for the
+life of the process.  Importing the package before numpy therefore
+starts none; a value the caller set still wins.
 """
 
 import importlib
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 _EXPORTS = {
     "action": (

@@ -6,17 +6,11 @@ Every sweep is exhaustive, so a report depends on its inputs alone.
 """
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-# No code here makes a BLAS call, so OpenBLAS's worker threads, started
-# with numpy, would only spin beside the command; a value the caller set
-# still wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
+import numpy as np
 
 from . import fileio
 from .action import cayley_self_action

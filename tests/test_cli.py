@@ -360,6 +360,26 @@ def test_the_cli_runs_on_one_thread(tmp_path):
             assert last.split()[1] == expected
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads read from /proc")
+def test_a_library_build_runs_on_one_thread():
+    # importing the package before numpy, as a script that only builds a
+    # monoid does, starts no OpenBLAS worker beside it
+    code = (
+        "import os\n"
+        "from invgeom import generate_monoid\n"
+        "from invgeom.families import symmetric_inverse_generators\n"
+        "assert generate_monoid(symmetric_inverse_generators(3)).order == 34\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    src = str(Path(invgeom.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**env, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "1"
+
+
 # The names the package exported when its __init__ imported every layer.
 PACKAGE_EXPORTS = {
     "action": "EtaleAction cayley_self_action check_theta_isometry"
