@@ -97,13 +97,13 @@ class Products:
             return self._table[key]
         rows, cols = (*(key if isinstance(key, tuple) else (key,)), slice(None))[:2]
         # slices become aranges, shaped to broadcast as numpy lays them out
-        elems = np.arange(len(self.depth))
+        n = len(self.depth)
         if isinstance(cols, slice):
-            cols = elems[cols]
+            cols = np.arange(*cols.indices(n))
             if not isinstance(rows, slice):
                 rows = np.expand_dims(rows, -1)
         if isinstance(rows, slice):
-            rows = elems[rows].reshape((-1,) + (1,) * np.ndim(cols))
+            rows = np.arange(*rows.indices(n)).reshape((-1,) + (1,) * np.ndim(cols))
         # a b = parent[a] (letter[a] b): walk a up the tree, gathering b
         a, x = np.asarray(rows), np.asarray(cols)
         shape, flat = np.broadcast_shapes(a.shape, x.shape), self.at.ravel()
@@ -462,11 +462,16 @@ def image_rows(maps, n):
 def image_codes(images):
     """Codes of image arrays on n points, read in base n + 1, most
     significant digit first, so code order is PartialBijection.sort_key
-    order (object integers once they pass the int64 range)."""
+    order (object integers once they pass the int64 range).  Horner's
+    rule over the n columns holds one array of codes, and never the
+    images widened to the codes' dtype."""
     n = images.shape[-1]
-    digits = [(n + 1) ** k for k in range(n)[::-1]]
-    powers = np.array(digits, dtype=np.int64 if digits[0] * (n + 1) < 2**63 else object)
-    return images @ powers
+    wide = (n + 1) ** n >= 2**63
+    codes = np.zeros(images.shape[:-1], object if wide else np.int64)
+    for k in range(n):
+        codes *= n + 1
+        codes += images[..., k].astype(object) if wide else images[..., k]
+    return codes
 
 
 def _search(sorted_codes, codes):
@@ -514,6 +519,11 @@ def generate_monoid(gens, element_cap=100_000, ground_size=None):
     is a ``Products`` of the letter rows, each the exact lookup of the
     letter's left products, and of that tree, and it fills the table
     only when it is read whole.
+
+    Memory: beyond the arrays the monoid keeps and O(N) arrays of codes,
+    images and tree, the closure holds one ``row_blocks`` block of
+    candidates at a time, about 2**14 images with their codes, and no
+    level, nor any image array, is widened whole to the codes' dtype.
     """
     gens = list(gens)
     if not gens and ground_size is None:
@@ -525,43 +535,68 @@ def generate_monoid(gens, element_cap=100_000, ground_size=None):
     _, first = _first_of_each(image_codes(seeds))
     letters = np.pad(seeds[first], ((0, 0), (0, 1)), constant_values=n)
     letters = letters.astype(np.min_scalar_type(n))
-    # Breadth-first closure of the identity, the least row letters[0], under
-    # right multiplication; a new element is parent * letter, first pair
-    # found, and bounds holds where each level starts, then the count.  The
-    # identity is its own parent by letter 0, itself.  sorted_codes holds
-    # the codes of images so far, in order.
-    images, parent, letter, bounds = letters[:1, :n], [0], [0], [0]
-    sorted_codes = image_codes(images)
-    while bounds[-1] < len(images):
-        frontier = np.pad(images[bounds[-1]:], ((0, 0), (0, 1)), constant_values=n)
-        cand = frontier[:, letters[:, :n]].reshape(-1, n)
-        codes, first = _first_of_each(image_codes(cand))
-        _, new = _search(sorted_codes, codes)
-        codes, first = codes[new], first[new]
-        if len(images) + len(first) > element_cap:
-            raise CapacityError(f"closure exceeded element cap {element_cap}")
-        parent = np.append(parent, bounds[-1] + first // len(letters))
-        letter = np.append(letter, first % len(letters))
-        bounds.append(len(images))
-        images = np.concatenate([images, cand[first]])
-        sorted_codes = np.sort(np.concatenate([sorted_codes, codes]))
-
-    def index(imgs):
-        return lookup(sorted_codes, image_codes(imgs))
-
-    count, rank = len(images), index(images)
-    canon = images[np.argsort(rank)]
-    reverse = np.full((count, n + 1), n)  # inverse images; column n is a sink
+    tree, canon, sorted_codes, identity = _closure(letters, element_cap)
+    count = len(canon)
+    reverse = np.full((count, n + 1), n, canon.dtype)  # column n is a sink
     reverse[np.arange(count)[:, None], canon] = np.arange(n)
-    at = np.array([index(image[canon]) for image in letters], index_dtype(count))
+    inverse = lookup(sorted_codes, image_codes(reverse[:, :n]))
+    # each letter row is written in place, at the width it is stored at
+    at = np.empty((len(letters), count), index_dtype(count))
+    for row, image in zip(at, letters):
+        row[:] = lookup(sorted_codes, image_codes(image[canon]))
+    del reverse, sorted_codes  # not held through the checks
+    return build_from_tables(Products(at, tree), identity, Elements(canon), inverse=inverse)
+
+
+def _closure(letters, element_cap):
+    """The breadth-first closure of the identity, the least row
+    ``letters[0]``, under right multiplication by the letters: the tree by
+    element index, the images in element order, their codes sorted, and
+    the identity's index.  Elements are indexed in code order.
+
+    A new element is parent * letter for the first (parent, letter) pair
+    of the level before it, in row-major order, and the identity is its
+    own parent by letter 0, itself.  A level's candidates are made one
+    ``row_blocks`` block of parents at a time.  Each block's codes are
+    deduplicated by a stable sort, its distinct codes searched among those
+    found before the level, and only the new ones kept, with their first
+    positions and images; the first of each code kept over the whole
+    level is then its first pair.  A level's images keep the letters'
+    sink column, as ``letters[j][n]`` is n.
+    """
+    n, width = letters.shape[1] - 1, len(letters)
+    level = letters[:1]
+    levels = [(image_codes(level[:, :n]), level, np.zeros(1, np.intp), np.zeros(1, np.intp))]
+    sorted_codes, count = levels[0][0], 1
+    while True:
+        kept = []
+        for rows in row_blocks(len(level), width):
+            cand = level[rows[0] : rows[-1] + 1, letters].reshape(-1, n + 1)
+            codes, first = _first_of_each(image_codes(cand[:, :n]))
+            _, new = _search(sorted_codes, codes)
+            first = first[new]
+            kept.append((codes[new], rows[0] * width + first, cand[first]))
+        codes, pos, images = map(np.concatenate, zip(*kept))
+        codes, first = _first_of_each(codes)
+        if not len(codes):
+            break
+        if count + len(codes) > element_cap:
+            raise CapacityError(f"closure exceeded element cap {element_cap}")
+        pos, level = pos[first], images[first]
+        start = count - len(levels[-1][1])  # where the level before starts
+        levels.append((codes, level, start + pos // width, pos % width))
+        count += len(codes)
+        sorted_codes = np.sort(np.concatenate([sorted_codes, codes]))
+    codes, images, parent, letter = map(np.concatenate, zip(*levels))
+    depth = np.repeat(np.arange(len(levels)), [len(found) for found, *_ in levels])
+    order = np.argsort(codes)  # breadth-first position by element index
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
     # parent, letter and depth, by element index; intp, as numpy indexes
     # with intp arrays without converting them
-    tree = np.empty((3, count), np.intp)
-    depth = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    tree = np.empty((3, len(order)), np.intp)
     tree[:, rank] = rank[parent], letter, depth
-    return build_from_tables(
-        Products(at, tree), rank[0], Elements(canon), inverse=index(reverse[:, :n])
-    )
+    return tree, images[order, :n], sorted_codes, int(rank[0])
 
 
 def _usable_cpus():

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 import time
@@ -26,6 +27,7 @@ from invgeom.families import (
     build_example,
     chain_semilattice,
     cyclic_group_table,
+    partial_bijection_count,
     semilattice_times_group,
     symmetric_inverse_generators,
 )
@@ -482,24 +484,113 @@ def test_every_worker_count_fills_the_same_table(name, monkeypatch):
     assert np.array_equal(three.product[key], expected[key])
 
 
-def test_a_generated_i6_holds_no_table_until_read_whole():
-    # the I6 product table alone is 355 MB; the build and these reads
-    # peak near 4 MB
-    gens = symmetric_inverse_generators(6)
+def _traced_build_and_reads(gens, **kwargs):
+    """generate_monoid and 200 seeded product and inverse reads under
+    tracemalloc; checks the reads against compose and invert, and returns
+    the monoid and the traced peak in bytes."""
     tracemalloc.start()
     try:
-        m = generate_monoid(gens)
+        m = generate_monoid(gens, **kwargs)
         pairs = np.random.default_rng(301).integers(m.order, size=(200, 2))
         products = [int(m.product[a, b]) for a, b in pairs.tolist()]
         inverses = [int(m.inverse[a]) for a in pairs[:, 0].tolist()]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
     elems = m.elements
     for (a, b), ab, a_inv in zip(pairs.tolist(), products, inverses):
         assert elems[ab] == compose(elems[a], elems[b])
         assert elems[a_inv] == invert(elems[a])
+    return m, peak
+
+
+def test_a_generated_i6_holds_no_table_until_read_whole():
+    # the I6 product table alone is 355 MB.  A closure that widened its
+    # largest level (61,710 candidates) to int64 codes peaked at 4.1 MB;
+    # one block of candidates at a time, the build and these reads peak
+    # near 1.9 MB
+    _, peak = _traced_build_and_reads(symmetric_inverse_generators(6))
+    assert peak < 2.5 * 2**20
+
+
+def test_i7_builds_without_a_table_in_bounded_memory():
+    # order 130,922, past the default element cap; the letter rows alone
+    # are 12 MB, and the build and these reads peak near 23 MB (59 MB
+    # when each level was widened whole)
+    m, peak = _traced_build_and_reads(symmetric_inverse_generators(7), element_cap=200_000)
+    assert m.order == partial_bijection_count(7)
+    assert peak < 32 * 2**20
+
+
+def test_a_scalar_read_holds_no_row_of_the_table():
+    m = generate_monoid(symmetric_inverse_generators(6))
+    m.mul(5, 7)  # first-call allocations are not the read's
+    tracemalloc.start()
+    try:
+        value = m.mul(1234, 4321)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elems = m.elements
+    assert elems[value] == compose(elems[1234], elems[4321])
+    # an arange over the 13,327 elements alone would be 107 KB
+    assert peak < 16 * 2**10
+
+
+def _digest(array):
+    """sha256 of an array's dtype, shape and bytes."""
+    header = f"{array.dtype.str}{array.shape}".encode()
+    return hashlib.sha256(header + np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+# the arrays a generated I5 and I6 hold, pinned: the letter rows, the
+# breadth-first tree, the canonical images and the inverse
+BUILD_DIGESTS = {
+    5: {
+        "at": "ede658cd1e100b9b51e1a9c9058ab2b17fc653022e64273a03f9d19a7b498deb",
+        "tree": "3db6c7eee284fa417e31d0d5c41f55fe876637b055d766f4f91a7059210db374",
+        "images": "f0fbf58a718a4e54da819367b8893654bd4927e49b2bf4993c3cbe30878f9c11",
+        "inverse": "0ade615e552ab71d6fa0ac33be288935fe62d1a0e9c744b0d2d71badb9bd5513",
+    },
+    6: {
+        "at": "a740b725ed82a4644db28e5595c2e104355c82d722ccad586cc01ef4d31884c6",
+        "tree": "362c3bb7a618450377253841c8961b8846ae66d156010096a3c5216b0bbfb9b9",
+        "images": "39c8f6e184e072691caed99a74500b35797b4f7921c6c80469278fa5da6992ed",
+        "inverse": "02fad03eec76597fd1996864ad8431cbf08b54f84e07f10c8cbb8ab281f46479",
+    },
+}
+
+
+@pytest.mark.skipif(np.dtype(np.intp) != np.int64, reason="the tree is pinned as int64")
+@pytest.mark.parametrize("n", sorted(BUILD_DIGESTS))
+def test_generated_arrays_are_pinned(n):
+    m = generate_monoid(symmetric_inverse_generators(n))
+    held = {
+        "at": m.product.at,
+        "tree": m.product.tree,
+        "images": m.elements.images,
+        "inverse": m.inverse,
+    }
+    assert {name: _digest(a) for name, a in held.items()} == BUILD_DIGESTS[n]
+
+
+def test_codes_past_int64_keep_sort_key_order():
+    # base-17 codes of 16 points pass the int64 range, and are Python ints
+    n = 16
+    cycle = PartialBijection(n, tuple((x + 1) % n for x in range(n)))
+    swap = PartialBijection(n, (1, 0) + (UNDEFINED,) * (n - 2))
+    m = generate_monoid([cycle, swap])
+    assert m.order == 785
+    codes = image_codes(m.elements.images)
+    assert codes.dtype == object and type(codes[0]) is int
+    assert codes.tolist() == sorted(codes.tolist())
+    elems = list(m.elements)
+    assert elems == sorted(elems, key=PartialBijection.sort_key)
+    rng = np.random.default_rng(16)
+    for a, b in rng.integers(m.order, size=(300, 2)).tolist():
+        assert elems[m.mul(a, b)] == compose(elems[a], elems[b])
+    for a in rng.integers(m.order, size=50).tolist():
+        assert elems[m.inv(a)] == invert(elems[a])
 
 
 def _fill_small_table(rows):
