@@ -9,8 +9,6 @@ read; indices are assigned by sorting those arrays, so they are
 deterministic regardless of generator order.
 """
 
-import os
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,7 +63,8 @@ class Products:
     entry is read by at most depth gathers from the letter rows.  Keys are
     ints, index arrays and slices, in one or two positions, with numpy's
     result shapes.  The table is filled when it is read whole
-    (``np.asarray``), once, and every later read indexes it.
+    (``np.asarray``), once, in one breadth-first pass on the calling
+    thread, and every later read indexes it.
     """
 
     def __init__(self, at, tree):
@@ -104,8 +103,15 @@ class Products:
                 rows = np.expand_dims(rows, -1)
         if isinstance(rows, slice):
             rows = np.arange(*rows.indices(n)).reshape((-1,) + (1,) * np.ndim(cols))
+        # rows are checked as they index the tree; columns here, and a
+        # negative one counts from the end, as numpy's do.  A boolean
+        # mask is refused, not read as columns 0 and 1
+        x = np.asarray(cols)
+        if x.dtype == bool or x.size and not -n <= x.min() <= x.max() < n:
+            raise IndexError(f"column key is not an index in [-{n}, {n})")
+        x = np.remainder(x, n, dtype=np.intp)
         # a b = parent[a] (letter[a] b): walk a up the tree, gathering b
-        a, x = np.asarray(rows), np.asarray(cols)
+        a = np.asarray(rows)
         shape, flat = np.broadcast_shapes(a.shape, x.shape), self.at.ravel()
         for _ in range(self.depth[a].max(initial=0)):
             x = flat[self._start[a] + x]
@@ -118,24 +124,22 @@ class Products:
         return np.array(self._table, dtype=dtype, copy=copy)
 
     def _filled(self):
-        """The whole table, read-only.  The identity's row is letter row 0,
-        and every other row a is the row of parent[a] gathered at letter
-        row letter[a], since (p h) x = p (h x).  The levels of equal depth
-        are filled one after another, and the rows of a level of at least
-        ``_THREADED_CELLS`` cells are split across the CPUs this process
-        may run on."""
+        """The whole table, read-only, filled in one breadth-first pass on
+        the calling thread.  The identity's row is letter row 0, and every
+        other row y is the row of parent[y] gathered at letter row
+        letter[y], since (p h) x = p (h x); a parent lies a level before
+        its child, so its row is filled first.  ``ndarray.take``'s clip
+        mode skips the buffered copy that raise mode makes."""
         n = len(self.depth)
         table = np.empty((n, n), self.dtype)
         order = np.argsort(self.depth, kind="stable")
         table[order[0]] = self.at[0]
-        steps = np.stack([order, self.parent[order], self.letter[order]])
-        # where each level past the identity's starts, and the end
-        bounds = np.searchsorted(self.depth[order], np.arange(1, self.depth.max() + 2))
         at = self.at.astype(np.intp)  # take() converts narrower indices each call
-        cpus = _usable_cpus()
-        for lo, hi in zip(bounds, bounds[1:]):
-            workers = min(cpus, hi - lo) if (hi - lo) * n >= _THREADED_CELLS else 1
-            _fill_level(table, at, steps[:, lo:hi], workers)
+        steps = np.stack([order, self.parent[order], self.letter[order]])[:, 1:]
+        # memoryviews yield Python ints one at a time: quicker to index
+        # with than numpy scalars, and no list is held
+        for y, a, h in zip(*map(memoryview, steps)):
+            table[a].take(at[h], out=table[y], mode="clip")
         table.setflags(write=False)
         return table
 
@@ -597,58 +601,6 @@ def _closure(letters, element_cap):
     tree = np.empty((3, len(order)), np.intp)
     tree[:, rank] = rank[parent], letter, depth
     return tree, images[order, :n], sorted_codes, int(rank[0])
-
-
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-# A level of fewer table cells than this is filled on the calling thread.
-# A row gather takes ~2 ns a cell, so a level this size takes ~2 ms on
-# one thread, and a second thread saves ~1 ms of it for the ~0.15 ms it
-# takes to start and join (2-core Xeon VM).  Every level of I4 and I5
-# stays on one thread, and all but the last two of I6's ten are split.
-_THREADED_CELLS = 2**20
-
-
-def _fill_level(product, at, level, workers):
-    """Fill ``product[y]`` with ``product[a]`` gathered at ``at[h]`` for
-    each column (y, a, h) of the 3 x m array ``level``, the columns dealt
-    round robin to ``workers`` threads, the caller's among them.
-
-    ``ndarray.take`` releases the interpreter lock, and its clip mode
-    skips the buffered copy that raise mode makes.  The rows read, of
-    earlier levels, are filled before this is called.  All threads are
-    joined before this returns, and the first exception raised in any of
-    them is raised here.
-    """
-    errors = []
-
-    def work(k):
-        try:
-            # memoryviews yield Python ints one at a time: quicker to
-            # index with than numpy scalars, and no list is held
-            for y, a, h in zip(*map(memoryview, level[:, k::workers])):
-                product[a].take(at[h], out=product[y], mode="clip")
-        except BaseException as exc:  # re-raised in the caller below
-            errors.append(exc)
-
-    started = []
-    try:
-        for k in range(1, workers):
-            thread = threading.Thread(target=work, args=(k,))
-            thread.start()
-            started.append(thread)
-        work(0)
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def generator_indices(monoid, gens):

@@ -130,7 +130,7 @@ def test_criterion_4_theta_isometry_i4(i4, i4_transpositions):
 def test_criterion_5_generation_pipeline_i3(i3, i3_transpositions, i3_action):
     t0 = time.perf_counter()
     x1 = i3.identity
-    extraction = extract_generators(i3_action, x1, 0)  # closure check inside
+    extraction = extract_generators(i3_action, x1, 0)
     cover = properness_witness(i3_action, x1, 1)
     assert coset_cover_holds(i3, cover, extraction.generators)
     word = cayley_metric(i3, i3_transpositions)

@@ -25,6 +25,7 @@ from invgeom import (
     trivial_monoid,
     validate_metric_predicates,
 )
+from invgeom import geometry
 from invgeom.action import coset_cover_holds
 from invgeom.families import chain_semilattice, cyclic_group_table
 from invgeom.report import Violation
@@ -94,6 +95,16 @@ def test_extract_generators_i3(i3, i3_action):
         assert chain[-1] == cert.element
         # intermediate products stay in the element's L-class
         assert {i3.dom(v) for v in chain} == {i3.dom(cert.element)}
+
+
+def test_a_passing_extraction_computes_no_closure(i3, i3_action, monkeypatch):
+    # every element is a product of its factors, all in the result, so
+    # the result generates without a closure being computed
+    calls = []
+    monkeypatch.setattr(geometry, "mulclose", lambda *args: calls.append(args))
+    ex = extract_generators(i3_action, i3.identity, 0)
+    assert len(ex.certificates) == i3.order
+    assert calls == []
 
 
 def test_extract_generators_needs_enough_cobound():

@@ -1,9 +1,5 @@
 import hashlib
-import sys
-import threading
-import time
 import tracemalloc
-import types
 from unittest.mock import patch
 
 import numpy as np
@@ -401,24 +397,6 @@ def test_product_table_matches_compose_oracle(name):
     assert elems[m.identity] == PartialBijection.identity(gens[0].ground_size)
 
 
-# the fill helper itself: the monkeypatched one below calls it, not a
-# helper patched by an earlier call
-_fill_level = monoid_module._fill_level
-
-
-def _generate_with_workers(gens, workers, monkeypatch):
-    """generate_monoid, its table then read whole with every level filled
-    on ``workers`` threads."""
-
-    def forced(product, at, level, _):
-        _fill_level(product, at, level, workers)
-
-    monkeypatch.setattr(monoid_module, "_fill_level", forced)
-    m = generate_monoid(gens)
-    np.asarray(m.product)
-    return m
-
-
 def _source_keys(m, expected, seed):
     """Every form of key the package reads a product table with, on
     seeded index arrays."""
@@ -442,6 +420,11 @@ def _source_keys(m, expected, seed):
         (m.inverse[rows][:, None], cols),  # validate_action
         (expected[np.ix_(rows, cols)], expected[np.ix_(cols, rows)].T),
         np.ix_(np.array([], dtype=np.intp), cols),  # mulclose, once closed
+        # negative columns, which the package does not read, count from
+        # the end, as numpy's do
+        (a, -1),
+        (elems[:, None], np.array([-1, -2, -m.order])),
+        (rows[:, None], cols - m.order),
     ]
 
 
@@ -459,29 +442,42 @@ def _assert_entry_reads(m, expected, seed=0):
 
 
 @pytest.mark.parametrize("name", ["i4", *(f"random-5-{seed}" for seed in range(6))])
-def test_every_worker_count_fills_the_same_table(name, monkeypatch):
+def test_a_whole_read_fills_the_table_once(name):
     gens = GENERATING_SETS[name]()
-    one = _generate_with_workers(gens, 1, monkeypatch)
-    elems = one.elements
+    m = generate_monoid(gens)
+    elems = m.elements
     index = {f.image: i for i, f in enumerate(elems)}
     expected = np.array([[index[compose(a, b).image] for b in elems] for a in elems])
     # entries read before any whole read
-    _assert_entry_reads(generate_monoid(gens), expected)
-    # more workers than cores, switching threads as often as it can
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        three = _generate_with_workers(gens, 3, monkeypatch)
-    finally:
-        sys.setswitchinterval(interval)
-    table = np.asarray(three.product)
-    assert np.asarray(one.product).tobytes() == table.tobytes()
+    _assert_entry_reads(m, expected)
+    held = m.product.nbytes
+    table = np.asarray(m.product)
     assert np.array_equal(table, expected)
     # the filled table is held read-only, and every later read indexes it
-    assert np.asarray(three.product) is table and not table.flags.writeable
-    assert three.product.nbytes == generate_monoid(gens).product.nbytes + table.nbytes
-    key = np.ix_([0, 1], [1, 0])
-    assert np.array_equal(three.product[key], expected[key])
+    assert np.asarray(m.product) is table and not table.flags.writeable
+    assert m.product.nbytes == held + table.nbytes
+    _assert_entry_reads(m, expected)
+
+
+@pytest.mark.parametrize("filled", [False, True])
+def test_a_column_out_of_range_raises_as_numpy_does(filled):
+    m = generate_monoid(symmetric_inverse_generators(4))
+    n = m.order
+    if filled:
+        np.asarray(m.product)
+    keys = [(3, n), (3, -n - 1), (np.arange(3), np.array([0, n, 1])), (slice(None), -n - 1)]
+    for key in keys:
+        with pytest.raises(IndexError):
+            m.product[key]
+    with pytest.raises(IndexError):
+        m.mul(3, n)
+
+
+def test_an_unfilled_table_refuses_a_boolean_column_key():
+    # numpy reads a mask; the letter-row walk would read columns 0 and 1
+    m = generate_monoid(symmetric_inverse_generators(4))
+    with pytest.raises(IndexError):
+        m.product[2, np.ones(m.order, bool)]
 
 
 def _traced_build_and_reads(gens, **kwargs):
@@ -538,25 +534,29 @@ def test_a_scalar_read_holds_no_row_of_the_table():
 
 
 def _digest(array):
-    """sha256 of an array's dtype, shape and bytes."""
-    header = f"{array.dtype.str}{array.shape}".encode()
-    return hashlib.sha256(header + np.ascontiguousarray(array).tobytes()).hexdigest()
+    """sha256 of an array's dtype, shape and bytes, read in place."""
+    digest = hashlib.sha256(f"{array.dtype.str}{array.shape}".encode())
+    digest.update(np.ascontiguousarray(array).data)
+    return digest.hexdigest()
 
 
 # the arrays a generated I5 and I6 hold, pinned: the letter rows, the
-# breadth-first tree, the canonical images and the inverse
+# breadth-first tree, the canonical images and the inverse; and the table
+# a whole read fills (355 MB on I6)
 BUILD_DIGESTS = {
     5: {
         "at": "ede658cd1e100b9b51e1a9c9058ab2b17fc653022e64273a03f9d19a7b498deb",
         "tree": "3db6c7eee284fa417e31d0d5c41f55fe876637b055d766f4f91a7059210db374",
         "images": "f0fbf58a718a4e54da819367b8893654bd4927e49b2bf4993c3cbe30878f9c11",
         "inverse": "0ade615e552ab71d6fa0ac33be288935fe62d1a0e9c744b0d2d71badb9bd5513",
+        "table": "c1ccfbf92140383586d0f1fb8251a62c1c7a828ff6c26d4668d036b590789e14",
     },
     6: {
         "at": "a740b725ed82a4644db28e5595c2e104355c82d722ccad586cc01ef4d31884c6",
         "tree": "362c3bb7a618450377253841c8961b8846ae66d156010096a3c5216b0bbfb9b9",
         "images": "39c8f6e184e072691caed99a74500b35797b4f7921c6c80469278fa5da6992ed",
         "inverse": "02fad03eec76597fd1996864ad8431cbf08b54f84e07f10c8cbb8ab281f46479",
+        "table": "ad060379908bf920c78f1159de125e3a6e6dec35544ffc9b1ceb704ffff7b868",
     },
 }
 
@@ -570,6 +570,7 @@ def test_generated_arrays_are_pinned(n):
         "tree": m.product.tree,
         "images": m.elements.images,
         "inverse": m.inverse,
+        "table": np.asarray(m.product),
     }
     assert {name: _digest(a) for name, a in held.items()} == BUILD_DIGESTS[n]
 
@@ -591,104 +592,6 @@ def test_codes_past_int64_keep_sort_key_order():
         assert elems[m.mul(a, b)] == compose(elems[a], elems[b])
     for a in rng.integers(m.order, size=50).tolist():
         assert elems[m.inv(a)] == invert(elems[a])
-
-
-def _fill_small_table(rows):
-    """Run the fill helper on 3 workers over one level of (y, a, h) rows
-    of a 4 x 4 table, in a thread joined with a timeout; returns what it
-    raised."""
-    product = np.zeros((4, 4), dtype=np.int16)
-    at = np.zeros((1, 4), dtype=np.intp)
-    raised = []
-
-    def call():
-        try:
-            monoid_module._fill_level(product, at, np.array(rows).T, 3)
-        except (IndexError, RuntimeError) as exc:
-            raised.append(exc)
-
-    before = threading.active_count()
-    runner = threading.Thread(target=call)
-    runner.start()
-    runner.join(timeout=30)
-    assert not runner.is_alive()
-    assert threading.active_count() == before
-    return raised
-
-
-@pytest.mark.parametrize("bad", [0, 1, 2])
-def test_a_failing_worker_raises_in_the_caller(bad):
-    # rows are dealt to workers round robin; a target row past the table
-    # fails in worker ``bad``, the caller's own work being worker 0
-    rows = [(1, 0, 0), (2, 0, 0), (3, 0, 0)]
-    rows[bad] = (9, 0, 0)
-    [raised] = _fill_small_table(rows)
-    assert isinstance(raised, IndexError)
-
-
-def test_a_level_is_filled_when_the_helper_returns():
-    # worker 1's row is slow to fill; the helper must wait for it
-    class SlowLetterOne(list):
-        def __getitem__(self, h):
-            if h == 1:
-                time.sleep(0.2)
-            return super().__getitem__(h)
-
-    product = np.zeros((4, 4), dtype=np.int16)
-    product[0] = np.arange(4)
-    at = SlowLetterOne([np.arange(4), np.arange(4)[::-1].copy()])
-    monoid_module._fill_level(product, at, np.array([(1, 0, 0), (2, 0, 1)]).T, 2)
-    assert product[1].tolist() == [0, 1, 2, 3]
-    assert product[2].tolist() == [3, 2, 1, 0]
-
-
-def test_a_thread_that_fails_to_start_is_raised_after_the_others_join(monkeypatch):
-    class SecondFails(threading.Thread):
-        made = 0
-
-        def start(self):
-            SecondFails.made += 1
-            if SecondFails.made == 2:
-                raise RuntimeError("can't start new thread")
-            super().start()
-
-    monkeypatch.setattr(monoid_module, "threading", types.SimpleNamespace(Thread=SecondFails))
-    [raised] = _fill_small_table([(1, 0, 0), (2, 0, 0), (3, 0, 0)])
-    assert isinstance(raised, RuntimeError)
-
-
-class _CountedThread(threading.Thread):
-    started = 0
-
-    def start(self):
-        _CountedThread.started += 1
-        super().start()
-
-
-def test_generate_monoid_joins_every_thread(monkeypatch):
-    plain = np.asarray(generate_monoid(symmetric_inverse_generators(4)).product)
-    # every level of I4 is split, across more workers than cores
-    monkeypatch.setattr(monoid_module, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(monoid_module, "_THREADED_CELLS", 1)
-    monkeypatch.setattr(monoid_module.threading, "Thread", _CountedThread)
-    _CountedThread.started = 0
-    before = threading.active_count()
-    m = generate_monoid(symmetric_inverse_generators(4))
-    table = np.asarray(m.product)  # the fill runs on this whole read
-    assert threading.active_count() == before
-    assert _CountedThread.started > 0
-    assert table.tobytes() == plain.tobytes()
-
-
-def test_small_levels_stay_on_the_calling_thread(monkeypatch):
-    # I4's largest level is 60 rows of 209 cells, far below the threshold
-    monkeypatch.setattr(monoid_module, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(monoid_module.threading, "Thread", _CountedThread)
-    _CountedThread.started = 0
-    m = generate_monoid(symmetric_inverse_generators(4))
-    np.asarray(m.product)  # the fill runs on this whole read
-    assert m.order == 209
-    assert _CountedThread.started == 0
 
 
 @pytest.mark.parametrize("name", ["i4", "random-5-0", "random-5-4"])
