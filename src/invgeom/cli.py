@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: gen, analyze, graph, metric, verify, qi, examples.  Exit
+Subcommands: gen, analyze, graph, metric, verify, examples.  Exit
 codes: 0 success, 1 verification failure, 2 usage or parse error.
 Every sweep is exhaustive, so a report depends on its inputs alone.
 """
@@ -16,9 +16,9 @@ from . import fileio
 from .action import cayley_self_action
 from .cayley import cayley_metric, symmetric_quasi_generators, word_successors
 from .errors import InvgeomError, ParseError
-from .geometry import orbit_map_qi, qi_constants, rips_graph
+from .geometry import rips_graph
 from .monoid import natural_leq_matrix
-from .report import checks_to_json, checks_to_text, jsonable
+from .report import checks_to_json, checks_to_text
 from .verify import run_verification
 
 
@@ -188,36 +188,6 @@ def cmd_verify(args):
     return 0 if passed else 1
 
 
-def cmd_qi(args):
-    radius = _radius(args)
-    monoid, gens, action = _load_setup(args)
-    act = _self_action(monoid, gens, action)
-    x1 = _basepoint(args, act)
-    word = cayley_metric(monoid, gens)
-    orbit = orbit_map_qi(act, x1, word)
-    rips = rips_graph(act, x1, radius)
-    between = qi_constants(np.arange(monoid.order), rips.metric, word.metric)
-    report = {
-        "orbit_map": {
-            "L": orbit.mult,
-            "C": orbit.add,
-            "coarse_radius": orbit.coarse_radius,
-            "order_preserving": orbit.order_preserving,
-        },
-        "rips_vs_word": {
-            "L": between.mult,
-            "C": between.add,
-            "coarse_radius": between.coarse_radius,
-            "radius": radius,
-        },
-    }
-    text = fileio.dumps_canonical(jsonable(report))
-    print(text, end="")
-    if args.out:
-        Path(args.out).write_text(text)
-    return 0
-
-
 def cmd_examples(args):
     # imported here, so that no other command loads the families; the
     # name is checked here for the same reason
@@ -275,6 +245,12 @@ def build_parser():
         description="Finite inverse monoids as extended metric spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options of the commands that read an action and its metrics
+    setup = argparse.ArgumentParser(add_help=False)
+    setup.add_argument("--input", required=True)
+    setup.add_argument("--gens", default=None)
+    setup.add_argument("--radius", default="1")
+    setup.add_argument("--basepoint", type=int, default=None)
 
     p = sub.add_parser("gen", help="build a monoid file from generators or a table")
     p.add_argument("--input", required=True)
@@ -286,43 +262,25 @@ def build_parser():
     p.add_argument("--gens", default=None)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("graph", help="DOT export of a graph")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("graph", parents=[setup], help="DOT export of a graph")
     p.add_argument("--out", required=True)
     p.add_argument(
         "--kind", choices=("cayley", "schutzenberger", "rips"), default="cayley"
     )
-    p.add_argument("--gens", default=None)
     p.add_argument("--component", type=int, default=None,
                    help="element whose Schützenberger component to export")
-    p.add_argument("--radius", default="1")
-    p.add_argument("--basepoint", type=int, default=None)
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("metric", help="matrix export of a word or Rips metric")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser(
+        "metric", parents=[setup], help="matrix export of a word or Rips metric"
+    )
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=("word", "rips"), default="word")
-    p.add_argument("--gens", default=None)
-    p.add_argument("--radius", default="1")
-    p.add_argument("--basepoint", type=int, default=None)
     p.set_defaults(func=cmd_metric)
 
-    p = sub.add_parser("verify", help="run the full predicate suite")
-    p.add_argument("--input", required=True)
-    p.add_argument("--gens", default=None)
-    p.add_argument("--radius", default="1")
-    p.add_argument("--basepoint", type=int, default=None)
+    p = sub.add_parser("verify", parents=[setup], help="run the full predicate suite")
     p.add_argument("--out", default=None, help="report base path")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("qi", help="quasi-isometry constants between metrics")
-    p.add_argument("--input", required=True)
-    p.add_argument("--gens", default=None)
-    p.add_argument("--radius", default="1")
-    p.add_argument("--basepoint", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_qi)
 
     p = sub.add_parser("examples", help="list or emit bundled examples")
     p.add_argument("action", choices=("list", "emit"))
@@ -338,10 +296,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvgeomError as exc:

@@ -2,11 +2,10 @@
 
 Data files (generator, table, presheaf, action and metric files) are
 compact canonical JSON: sorted keys, no whitespace, a trailing newline,
-so save/load round trips are byte-exact.  Reports and ``qi`` output keep
-a two-space indent.  The readers take any JSON layout, so files written
-indented by earlier versions still load.  Undefined points of a partial
-bijection are encoded as null, as are infinite distances and missing
-edge labels.
+so save/load round trips are byte-exact.  Reports keep a two-space
+indent.  The readers take any JSON layout, so files written indented by
+earlier versions still load.  Undefined points of a partial bijection
+are encoded as null, as are infinite distances and missing edge labels.
 
 The three tables that grow with the monoid, a table file's ``product``,
 a presheaf file's ``restrict`` and an action file's ``act``, are written

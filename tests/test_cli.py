@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import invgeom
 from invgeom import fileio
-from invgeom.cli import main
+from invgeom.cli import build_parser, main
 
 from conftest import (
     LAYOUTS,
@@ -108,23 +109,6 @@ def test_verify_fails_on_tampered_action(i2_files, tmp_path, capsys):
         assert written["passed"] is False
 
 
-def test_qi_subcommand(i2_files, capsys):
-    code = main(
-        [
-            "qi",
-            "--input",
-            str(i2_files / "i2.action.json"),
-            "--radius",
-            "1",
-        ]
-    )
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["orbit_map"]["L"] == "1"
-    assert payload["orbit_map"]["order_preserving"] is True
-    assert payload["rips_vs_word"]["L"] == "1"
-
-
 def test_analyze_subcommand(i2_files, capsys):
     assert main(["analyze", "--input", str(i2_files / "i2.monoid.json")]) == 0
     out = capsys.readouterr().out
@@ -187,11 +171,23 @@ def test_metric_subcommand(i2_files, tmp_path):
     assert (tmp_path / "dm.txt").exists()
 
 
-def test_parse_error_exit_code(tmp_path, capsys):
+def test_parse_error_exit_code(i2_files, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
-    assert main(["gen", "--input", str(bad), "--out", str(tmp_path / "x")]) == 2
-    assert main(["analyze", "--input", str(tmp_path / "nope.json")]) == 2
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    # a directory where a file is read or written, and a file where a
+    # directory is made, are bad paths like a missing file
+    for args in (
+        ["gen", "--input", str(bad), "--out", str(tmp_path / "x")],
+        ["analyze", "--input", str(tmp_path / "nope.json")],
+        ["verify", "--input", str(tmp_path)],
+        ["graph", "--input", str(i2_files / "i2.gens.json"), "--out", str(tmp_path)],
+        ["examples", "emit", "i2", "--out-dir", str(a_file)],
+    ):
+        assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, args
 
 
 @pytest.mark.parametrize(
@@ -218,6 +214,23 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["metric", "--input", "x", "--out", "y", "--format", "dot"])
     assert exc.value.code == 2
+    # `verify --out` reports the constants `qi` printed
+    with pytest.raises(SystemExit) as exc:
+        main(["qi", "--input", "x"])
+    assert exc.value.code == 2
+
+
+def test_readme_lists_every_command():
+    # the fenced block under "## Command line" names each subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    listed = {
+        line.split()[1] for line in block.splitlines() if line.startswith("invgeom ")
+    }
+    (sub,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert listed == set(sub.choices)
 
 
 def test_chain_example_emit_and_verify(tmp_path):

@@ -27,7 +27,12 @@ from invgeom import (
 )
 from invgeom import geometry
 from invgeom.action import coset_cover_holds
-from invgeom.families import chain_semilattice, cyclic_group_table
+from invgeom.families import (
+    build_example,
+    chain_semilattice,
+    cyclic_group_table,
+    list_examples,
+)
 from invgeom.report import Violation
 from invgeom.verify import run_verification
 
@@ -459,6 +464,23 @@ def test_rips_vs_word_qi_finite(i3, i3_transpositions, i3_action):
         assert qi_bounds_hold(
             report, np.arange(i3.order), dense(rips.metric), dense(cm.metric)
         )
+
+
+@pytest.mark.parametrize(
+    "name", [spec.name for spec in list_examples() if spec.params.get("n", 0) <= 4]
+)
+def test_rips_vs_word_qi_hits_every_element(name):
+    # the map between the Rips and the word metric is the identity on
+    # elements, so its coarse radius is 0 and its fitted L and C are all
+    # `verify`'s rips-vs-word-qi data says of it
+    built = build_example(name)
+    monoid, gens = built.monoid, built.quasi_generators
+    action = cayley_self_action(monoid, gens)
+    word = cayley_metric(monoid, gens)
+    for radius in (1, 2, 3):
+        rips = rips_graph(action, min(action.identity_fiber()), radius)
+        report = qi_constants(np.arange(monoid.order), rips.metric, word.metric)
+        assert report.coarse_radius == 0, radius
 
 
 def test_non_proper_fallback(i3, i3_action):
