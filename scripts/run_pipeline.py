@@ -68,7 +68,7 @@ def main():
     print(f"two-sided word/displacement bounds: "
           f"{'all hold' if not bad else bad}")
 
-    print(f"word metric components: {len(word.components)} "
+    print(f"word metric components: {len(word.metric.components())} "
           f"(= {len(m.lclasses)} L-classes)")
 
 

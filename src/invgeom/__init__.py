@@ -71,7 +71,6 @@ _EXPORTS = {
         "from_table",
         "generate_monoid",
         "generating_set",
-        "mulclose",
         "natural_leq_matrix",
         "trivial_monoid",
     ),

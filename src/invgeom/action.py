@@ -53,6 +53,15 @@ class EtaleAction:
         """Points of the fiber over the identity idempotent."""
         return self.presheaf.fiber(self.identity_base)
 
+    def orbit(self, x1):
+        """The row s -> x1.s of a basepoint x1, a point of the identity
+        fiber; PreconditionError for any other point."""
+        if int(self.presheaf.proj[x1]) != self.identity_base:
+            raise PreconditionError(
+                f"basepoint {x1} is not in the identity fiber", witness=(x1,)
+            )
+        return np.asarray(self.act[x1, :], dtype=np.intp)
+
     def apply(self, x, s):
         return int(self.act[x, s])
 
@@ -153,10 +162,7 @@ def check_theta_isometry(a, s):
 def coboundedness_constant(a, x1):
     """Least T with B(x1, T) . S = X, or None if some point is unreachable."""
     p, act = a.presheaf, a.act
-    if int(p.proj[x1]) != a.identity_base:
-        raise PreconditionError(
-            f"basepoint {x1} is not in the identity fiber", witness=(x1,)
-        )
+    a.orbit(x1)  # raises unless x1 is a basepoint
     near, dist = p.metric.row(x1)
     # each point's least level: nearer levels are written last
     best = np.full(p.num_points, UNREACHED)
@@ -173,11 +179,8 @@ def _qualifying(a, y1, radius):
     Distances stay integers, which numpy compares exactly with the floor
     of any rational radius, however large.
     """
-    act = a.act
-    dom = a.monoid.dom_table
-    pts_s = act[y1, :]
-    pts_d = act[y1, dom]
-    dvals = a.presheaf.metric.distances(pts_s, pts_d)
+    orbit = a.orbit(y1)
+    dvals = a.presheaf.metric.distances(orbit, orbit[a.monoid.dom_table])
     cutoff = math.floor(Fraction(radius))
     near = (dvals != UNREACHED) & (dvals <= cutoff)
     return [int(s) for s in np.flatnonzero(near)]
@@ -192,11 +195,6 @@ def properness_witness(a, y1, radius):
     greedy cover (largest new hit first, ties to the least f) witnesses it;
     ``coset_cover_holds`` checks the cover independently.
     """
-    p = a.presheaf
-    if int(p.proj[y1]) != a.identity_base:
-        raise PreconditionError(
-            f"basepoint {y1} is not in the identity fiber", witness=(y1,)
-        )
     uncovered = set(_qualifying(a, y1, radius))
     mon = a.monoid
     cosets = mon.product[:, np.array(mon.idempotents, dtype=np.intp)]

@@ -5,23 +5,22 @@ A Cayley graph is the successor array of left multiplication,
 j-th letter g.  Within an L-class, edges come in inverse pairs, so
 breadth-first search over a symmetric generating set computes the path
 metric of each Schützenberger graph; across L-classes the metric is
-infinite, and its finite components are checked to be the L-classes.
+infinite.  Its components are the L-classes exactly when the set
+quasi-generates, which is how quasi-generation is decided.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, ValidationError
-from .extmetric import ExtendedMetric, all_pairs_bfs, bfs, first_split
-from .monoid import mulclose
+from .errors import PreconditionError
+from .extmetric import ExtendedMetric, all_pairs_bfs, bfs, component_labels
 
 
 @dataclass(frozen=True, eq=False)
 class CayleyMetricTable:
     metric: ExtendedMetric
     generators: tuple    # symmetrized quasi-generating set
-    components: tuple    # L-class partition realised by the metric
 
 
 def symmetrize(monoid, gens):
@@ -29,26 +28,6 @@ def symmetrize(monoid, gens):
     out = set(int(g) for g in gens)
     out |= {monoid.inv(g) for g in list(out)}
     return tuple(sorted(out))
-
-
-def quasi_generation_witness(monoid, gens):
-    """An element unreachable from gens and E(S), or None if none exists."""
-    seeds = set(gens) | set(monoid.idempotents)
-    reached = mulclose(monoid.product, seeds)
-    missing = sorted(set(range(monoid.order)) - reached)
-    return missing[0] if missing else None
-
-
-def symmetric_quasi_generators(monoid, gens):
-    """The symmetrized set; PreconditionError unless it quasi-generates."""
-    sym = symmetrize(monoid, gens)
-    witness = quasi_generation_witness(monoid, sym)
-    if witness is not None:
-        raise PreconditionError(
-            f"not quasi-generating: element {witness} unreachable",
-            witness=(witness,),
-        )
-    return sym
 
 
 def word_successors(monoid, letters, within_class=False):
@@ -65,12 +44,45 @@ def word_successors(monoid, letters, within_class=False):
     return succ
 
 
+def _require_quasi_generating(monoid, label):
+    """PreconditionError unless a symmetric set A quasi-generates: with the
+    idempotents E(S), generates the monoid.
+
+    ``label`` numbers the components of the Schützenberger graphs over A,
+    whose edges pair up, so s shares a component with dom(s) = s^-1 s iff
+    a word over A leads from dom(s) to s.  Those s are exactly the
+    closure of A and E(S), so the witness, the least s cut off from
+    dom(s), is the least element the closure misses.  If a word w leads
+    there, s = w dom(s) is in the closure.  Conversely, if s = x_k ... x_1
+    over A and E(S), then s = x_k ... x_1 dom(s).  Left multiplication
+    never raises dom, and the last prefix is s, so every prefix
+    x_i ... x_1 dom(s) lies in L_s.  There an idempotent letter fixes its
+    argument (``cayley_metric``), so the letters from A trace a path from
+    dom(s) to s.
+    """
+    cut = np.flatnonzero(label != label[monoid.dom_table])
+    if cut.size:
+        s = int(cut[0])
+        raise PreconditionError(
+            f"not quasi-generating: element {s} unreachable", witness=(s,)
+        )
+
+
+def schutzenberger_graphs(monoid, gens):
+    """(sym, succ): the symmetrized set and the successor array of the
+    Schützenberger graphs over it, once it is found to quasi-generate."""
+    sym = symmetrize(monoid, gens)
+    succ = word_successors(monoid, sym, within_class=True)
+    _require_quasi_generating(monoid, component_labels(succ))
+    return sym, succ
+
+
 def cayley_metric(monoid, gens):
     """Path metric of the Schützenberger graphs over a quasi-generating set.
 
     The generating set is symmetrized first.  Distances across L-classes
-    are infinite; the finite components are checked against the L-class
-    partition.
+    are infinite, and a set whose components split an L-class raises
+    PreconditionError (``_require_quasi_generating``).
 
     On L-pairs this is also the word metric of unrestricted left
     multiplication, with or without the idempotent letters, which is
@@ -85,7 +97,8 @@ def cayley_metric(monoid, gens):
     ``verify`` passes word-metric-predicates once it builds.  Write dom(s)
     for s^-1 s, so that s L t iff dom(s) = dom(t).
 
-    - Components: ``first_split`` below checks that they are the L-classes.
+    - Components: an edge never leaves an L-class, so a component can only
+      split one, and then some s is cut off from dom(s), which raises.
     - Uniform discreteness: distances count edges, so distinct points are
       at least 1 apart.
     - Properness: for s L t, (t s^-1) s = t dom(s) = t dom(t) = t.
@@ -97,13 +110,10 @@ def cayley_metric(monoid, gens):
       or to a loop.  A path from s to u becomes a walk from s x to u x no
       longer, and d(s x, u x) <= d(s, u).
     """
-    sym = symmetric_quasi_generators(monoid, gens)
+    sym = symmetrize(monoid, gens)
     metric = all_pairs_bfs(word_successors(monoid, sym, within_class=True))
-    if first_split(metric.label, monoid.dom_table) is not None:
-        raise ValidationError("metric components disagree with L-classes")
-    return CayleyMetricTable(
-        metric=metric, generators=sym, components=metric.components()
-    )
+    _require_quasi_generating(monoid, metric.label)
+    return CayleyMetricTable(metric=metric, generators=sym)
 
 
 def word_distances(monoid, letters):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fileio
 from .action import cayley_self_action
-from .cayley import cayley_metric, symmetric_quasi_generators, word_successors
+from .cayley import cayley_metric, schutzenberger_graphs, word_successors
 from .errors import InvgeomError, ParseError
 from .geometry import rips_graph
 from .monoid import natural_leq_matrix
@@ -60,9 +60,11 @@ def _basepoint(args, action):
 
 
 def _load_setup(args):
-    """Resolve --input to (monoid, gens, action-or-None)."""
+    """(monoid, gens, action-or-None) from --input, once --out's directory exists."""
+    if args.out is not None and not Path(args.out).parent.is_dir():
+        raise ParseError(f"--out {args.out}: no directory {Path(args.out).parent}")
     monoid, file_gens, action = fileio.load_input(args.input)
-    gens = _parse_gens(getattr(args, "gens", None))
+    gens = _parse_gens(args.gens)
     for g in gens or ():
         if not 0 <= g < monoid.order:
             raise ParseError(
@@ -87,7 +89,7 @@ def cmd_gen(args):
 
 
 def cmd_analyze(args):
-    monoid, _, _ = _load_setup(args)
+    monoid = fileio.load_input(args.input)[0]
     print(f"order: {monoid.order}")
     print(f"identity: {monoid.element_label(monoid.identity)}")
     idem = ", ".join(monoid.element_label(e) for e in monoid.idempotents)
@@ -128,8 +130,8 @@ def cmd_graph(args):
                 f"--component {anchor} out of range: the monoid has "
                 f"{monoid.order} elements"
             )
-        sym = symmetric_quasi_generators(monoid, gens)
-        succ = word_successors(monoid, sym, within_class=True).tolist()
+        sym, succ = schutzenberger_graphs(monoid, gens)
+        succ = succ.tolist()
         e = monoid.dom(anchor)
         name = f"fiber_{monoid.idempotents.index(e)}"
         vertices = np.flatnonzero(monoid.dom_table == e).tolist()
@@ -259,7 +261,6 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="print idempotents, Green classes, Hasse order")
     p.add_argument("--input", required=True)
-    p.add_argument("--gens", default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("graph", parents=[setup], help="DOT export of a graph")

@@ -263,16 +263,10 @@ def successor_array(n, u, v):
     return succ
 
 
-def all_pairs_bfs(succ):
-    """Unit-edge path metric of a symmetric successor array; inf across components.
-
-    The components come first: every vertex takes the least label among
-    itself and its successors, then the label of its label, until nothing
-    changes, which leaves each component labelled by its least vertex.
-    Renumbered component by component, the vertices are then searched
-    from all at once, each within its own component, so the levels come
-    out as the metric's table, block by block.
-    """
+def component_labels(succ):
+    """Each vertex's component in a symmetric successor array, numbered by
+    least vertex: every vertex takes the least label among itself and its
+    successors, then the label of its label, until nothing changes."""
     succ = np.asarray(succ, dtype=np.intp)
     n = succ.shape[0]
     least = np.arange(n)
@@ -282,7 +276,20 @@ def all_pairs_bfs(succ):
         if np.array_equal(lower, least):
             break
         least = lower
-    label = np.searchsorted(np.flatnonzero(least == np.arange(n)), least)
+    return np.searchsorted(np.flatnonzero(least == np.arange(n)), least)
+
+
+def all_pairs_bfs(succ):
+    """Unit-edge path metric of a symmetric successor array; inf across components.
+
+    The components come first, from ``component_labels``.  Renumbered
+    component by component, the vertices are then searched from all at
+    once, each within its own component, so the levels come out as the
+    metric's table, block by block.
+    """
+    succ = np.asarray(succ, dtype=np.intp)
+    n = succ.shape[0]
+    label = component_labels(succ)
     points = classes(label)
     order = np.argsort(label, kind="stable")
     rank = np.empty(n, dtype=np.intp)

@@ -26,7 +26,6 @@ from .extmetric import (
     successor_array,
     trace_paths,
 )
-from .monoid import mulclose
 from .report import CheckResult, Violation
 
 QI_LADDER = tuple(Fraction(k, 4) for k in range(4, 65))
@@ -109,10 +108,7 @@ def extract_generators(a, x1, t):
     generators in any bracketing.
     """
     mon, p, act = a.monoid, a.presheaf, a.act
-    if int(p.proj[x1]) != a.identity_base:
-        raise PreconditionError(
-            f"basepoint {x1} is not in the identity fiber", witness=(x1,)
-        )
+    orbit = a.orbit(x1)
     metric = p.metric
     near, dist = metric.row(x1)
     covered = np.zeros(p.num_points, dtype=bool)
@@ -123,7 +119,6 @@ def extract_generators(a, x1, t):
             witness=(int(np.argmin(covered)),),
         )
     threshold = 2 * t + 1
-    orbit = act[x1, :]
     dom = mon.dom_table
     displacement = metric.distances(orbit, orbit[dom], fill=INFINITE)
     gens = np.flatnonzero(displacement <= threshold)
@@ -251,7 +246,7 @@ def orbit_map_qi(a, x1, word):
     records whether the natural partial order maps into the presheaf order.
     """
     mon, p = a.monoid, a.presheaf
-    orbit = np.asarray(a.act[x1, :], dtype=np.intp)
+    orbit = a.orbit(x1)
     base = qi_constants(orbit, word.metric, p.metric)
     # p.leq(x1.s, x1.t) for every pair s <= t at once: s = e t for an
     # idempotent e
@@ -275,7 +270,7 @@ def orbit_inequalities(a, x1, word):
     list of violations (empty when both bounds hold).
     """
     mon, p = a.monoid, a.presheaf
-    orbit = a.act[x1, :]
+    orbit = a.orbit(x1)
     dom = mon.dom_table
     disp = p.metric.distances(orbit, orbit[dom], fill=INFINITE)
     length = word.metric.distances(np.arange(mon.order), dom, fill=INFINITE)
@@ -322,16 +317,11 @@ def rips_graph(a, x1, radius):
     Radius comparisons are exact (integer distances against a rational
     threshold).
     """
-    p = a.presheaf
-    if int(p.proj[x1]) != a.identity_base:
-        raise PreconditionError(
-            f"basepoint {x1} is not in the identity fiber", witness=(x1,)
-        )
+    orbit = a.orbit(x1)
     radius = Fraction(radius)
     if radius < 0:
         raise PreconditionError(f"radius must be non-negative, got {radius}")
     cutoff = math.floor(radius)
-    orbit = np.asarray(a.act[x1, :], dtype=np.intp)
     fiber, n = a.presheaf.metric, orbit.size
     # only elements whose orbit points share a component can be close
     edges = [np.zeros(0, dtype=np.intp)]
@@ -358,7 +348,7 @@ def rips_embedding_bounds(a, x1, rips):
     if r < 1:
         raise PreconditionError("bounds need a radius of at least 1")
     step = math.floor(r)
-    orbit = np.asarray(a.act[x1, :], dtype=np.intp)
+    orbit = a.orbit(x1)
     fiber = a.presheaf.metric
     out = []
     # the finite pairs are those within a group of elements whose orbit
@@ -487,9 +477,9 @@ def quasi_generators_from_metric(monoid, metric, report):
 
     ``report`` is the metric's MetricPredicateReport, and F1 is its
     uniform-properness witness.  Every non-idempotent s is factored as a
-    word of at most ceil(d(s, dom s)) letters of F1 applied to dom(s); the
-    closure of F1 with the idempotents must be the whole monoid.  Failures
-    raise TheoremViolationError.
+    word of at most ceil(d(s, dom s)) letters of F1 applied to dom(s),
+    which makes F1 with the idempotents generate the monoid, so no closure
+    is computed.  A failure raises TheoremViolationError.
     """
     if not report.uniform_properness.passed:
         raise PreconditionError(
@@ -520,14 +510,6 @@ def quasi_generators_from_metric(monoid, metric, report):
         for s, (word, k) in enumerate(zip(words.tolist(), steps.tolist()))
         if moving[s]
     }
-    closure = mulclose(
-        monoid.product, set(letters) | set(monoid.idempotents)
-    )
-    if closure != frozenset(range(monoid.order)):
-        missing = sorted(set(range(monoid.order)) - closure)[0]
-        raise TheoremViolationError(
-            "witness set does not quasi-generate", witness=(missing,)
-        )
     return QuasiGenerationCertificate(
         generators=tuple(letters), factorizations=factorizations
     )

@@ -232,24 +232,6 @@ def row_blocks(n, width=None):
     return [np.arange(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def mulclose(product, seeds):
-    """Closure of a set of element indices under the product table.
-
-    It grows by right multiplication by the seeds alone, so it holds every
-    product ((s1 s2) s3) ... of seeds: in an associative table, every
-    product of seeds.
-    """
-    member = np.zeros(product.shape[0], dtype=bool)
-    member[list(seeds)] = True
-    seeds = frontier = np.flatnonzero(member)
-    while frontier.size:
-        reached = np.zeros_like(member)
-        reached[product[np.ix_(frontier, seeds)]] = True
-        frontier = np.flatnonzero(reached & ~member)
-        member[frontier] = True
-    return frozenset(np.flatnonzero(member).tolist())
-
-
 def generating_set(product):
     """A generating set of the table, chosen greedily in index order.
 
@@ -259,9 +241,10 @@ def generating_set(product):
     the least element failing it is in G: an element not kept lies in the
     closure of smaller kept ones.
 
-    The closure grows in one pass, as ``mulclose`` of the kept elements
-    would build it: when s is kept, the old members need only the product
-    by s, and each new member the product by every kept element.
+    The closure grows by right multiplication by the kept elements, so it
+    holds every product ((g1 g2) g3) ... of them, in one pass: when s is
+    kept, the old members need only the product by s, and each new member
+    the product by every kept element.
     """
     member = np.zeros(product.shape[0], dtype=bool)
     kept = []

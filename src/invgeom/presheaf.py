@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import symmetric_quasi_generators, word_successors
+from .cayley import schutzenberger_graphs
 from .errors import ValidationError
 from .extmetric import ExtendedMetric, all_pairs_bfs, first_increases, successor_array
 from .monoid import index_dtype
@@ -214,7 +214,7 @@ def cayley_presheaf(monoid, gens):
     fiber over each idempotent carries the Schützenberger graph on its
     L-class with unit edges.  ``gens`` must be quasi-generating.
     """
-    sym = symmetric_quasi_generators(monoid, gens)
+    sym, succ = schutzenberger_graphs(monoid, gens)
     idem = np.array(monoid.idempotents, dtype=np.intp)
     local = np.full(monoid.order, -1, dtype=np.int32)
     local[idem] = np.arange(idem.size)
@@ -222,7 +222,6 @@ def cayley_presheaf(monoid, gens):
         meet=local[monoid.product[np.ix_(idem, idem)]], labels=monoid.idempotents
     )
     restrict = monoid.product[:, idem]
-    succ = word_successors(monoid, sym, within_class=True)
     j, s = np.nonzero(succ.T != np.arange(monoid.order))
     edges = np.stack([s, succ[s, j], np.array(sym, dtype=np.intp)[j]], axis=1)
     return MetricPresheaf.build(base, local[monoid.dom_table], restrict, edges)

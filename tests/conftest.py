@@ -32,6 +32,25 @@ def enumerate_partial_bijections(n):
     return {PartialBijection(n, img) for img in out}
 
 
+def mulclose(product, seeds):
+    """Closure of a set of element indices under the product table.
+
+    It grows by right multiplication by the seeds alone, so it holds every
+    product ((s1 s2) s3) ... of seeds: in an associative table, every
+    product of seeds.  The oracle of quasi-generation and of
+    ``monoid.generating_set``.
+    """
+    member = np.zeros(product.shape[0], dtype=bool)
+    member[list(seeds)] = True
+    seeds = frontier = np.flatnonzero(member)
+    while frontier.size:
+        reached = np.zeros_like(member)
+        reached[product[np.ix_(frontier, seeds)]] = True
+        frontier = np.flatnonzero(reached & ~member)
+        member[frontier] = True
+    return frozenset(np.flatnonzero(member).tolist())
+
+
 def read_metric_file(path):
     """The distance table of a metric file, each null read as infinity."""
     data = json.loads(Path(path).read_text())

@@ -5,16 +5,19 @@ import pytest
 
 from invgeom import (
     PreconditionError,
+    build_example,
     cayley_metric,
+    cayley_presheaf,
     from_table,
+    semilattice_times_group,
     symmetrize,
     trivial_monoid,
     word_distances,
 )
-from invgeom.cayley import quasi_generation_witness, word_successors
+from invgeom.cayley import word_successors
 from invgeom.families import chain_semilattice, cyclic_group_table
 
-from conftest import block_metric, dense, transposition_indices
+from conftest import block_metric, dense, mulclose, transposition_indices
 
 
 def elt(monoid, *image):
@@ -41,7 +44,7 @@ def test_edge_count_scales_with_generators(i3, i3_transpositions):
 
 
 def test_schutzenberger_components_i2(i2, i2_swap):
-    parts = cayley_metric(i2, [i2_swap]).components
+    parts = cayley_metric(i2, [i2_swap]).metric.components()
     expected = {frozenset(c) for c in i2.lclasses}
     assert {frozenset(c) for c in parts} == expected
     sizes = sorted(len(c) for c in parts)
@@ -50,13 +53,13 @@ def test_schutzenberger_components_i2(i2, i2_swap):
 
 def test_schutzenberger_single_component_for_group():
     z3 = from_table(cyclic_group_table(3), 0)
-    parts = cayley_metric(z3, [1]).components
+    parts = cayley_metric(z3, [1]).metric.components()
     assert len(parts) == 1
 
 
 def test_schutzenberger_singletons_for_semilattice():
     lattice = from_table(chain_semilattice(3), 2)
-    parts = cayley_metric(lattice, []).components
+    parts = cayley_metric(lattice, []).metric.components()
     assert all(len(c) == 1 for c in parts)
     assert len(parts) == 3
 
@@ -67,9 +70,47 @@ def test_schutzenberger_detects_non_generation(i2):
 
 
 def test_is_quasi_generating(i2, i2_swap):
-    assert quasi_generation_witness(i2, range(i2.order)) is None
-    assert quasi_generation_witness(i2, [i2_swap]) is None
-    assert quasi_generation_witness(i2, []) is not None
+    for build in (cayley_metric, cayley_presheaf):
+        build(i2, range(i2.order))
+        build(i2, [i2_swap])
+        with pytest.raises(PreconditionError, match="element 2 unreachable") as info:
+            build(i2, [])
+        assert info.value.witness == (2,)
+
+
+def closure_witness(monoid, gens):
+    """The least element outside the closure of the symmetrized set and the
+    idempotents, or None: the oracle of the component-label witness."""
+    seeds = set(symmetrize(monoid, gens)) | set(monoid.idempotents)
+    missing = sorted(set(range(monoid.order)) - mulclose(monoid.product, seeds))
+    return missing[0] if missing else None
+
+
+@pytest.mark.parametrize(
+    "name", ["trivial", "i1", "i2", "i3", "i4", "chain2_z2", "chain3_z3", "chain4_z6"]
+)
+def test_quasi_generation_witness_is_the_closure_witness(name):
+    # seeded subsets of every size, so that some sets quasi-generate and
+    # some miss an element
+    if name == "chain4_z6":
+        m = semilattice_times_group(chain_semilattice(4), cyclic_group_table(6))
+    else:
+        m = build_example(name).monoid
+    rng = np.random.default_rng(29)
+    failing = 0
+    for trial in range(24):
+        size = rng.integers(0, min(m.order, 12) + 1)
+        gens = sorted(rng.choice(m.order, size, replace=False).tolist())
+        witness = closure_witness(m, gens)
+        failing += witness is not None
+        for build in (cayley_metric, cayley_presheaf):
+            if witness is None:
+                build(m, gens)
+                continue
+            with pytest.raises(PreconditionError, match="not quasi-generating") as info:
+                build(m, gens)
+            assert info.value.witness == (witness,), (gens, build)
+    assert 0 < failing < 24 or m.order <= 2
 
 
 def test_cayley_metric_examples(i2, i2_swap):
@@ -81,7 +122,7 @@ def test_cayley_metric_examples(i2, i2_swap):
     a = elt(i2, 1, None)
     assert d.dist(e0, a) == 1
     assert math.isinf(d.dist(i2.identity, e0))
-    assert {frozenset(c) for c in cm.components} == {
+    assert {frozenset(c) for c in cm.metric.components()} == {
         frozenset(c) for c in i2.lclasses
     }
 

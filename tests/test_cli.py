@@ -1,6 +1,10 @@
 import argparse
+import dataclasses
+import importlib
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -176,6 +180,8 @@ def test_parse_error_exit_code(i2_files, tmp_path, capsys):
     bad.write_text("{broken")
     a_file = tmp_path / "a_file"
     a_file.write_text("")
+    action = str(i2_files / "i2.action.json")
+    nowhere = str(tmp_path / "missing" / "out")
     # a directory where a file is read or written, and a file where a
     # directory is made, are bad paths like a missing file
     for args in (
@@ -188,6 +194,12 @@ def test_parse_error_exit_code(i2_files, tmp_path, capsys):
         assert main(args) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, args
+    # an --out with no directory fails before any work, with nothing on stdout
+    for command in ("verify", "metric", "graph"):
+        assert main([command, "--input", action, "--out", nowhere]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == "", command
+        assert err.startswith("error: --out ") and err.count("\n") == 1, command
 
 
 @pytest.mark.parametrize(
@@ -208,16 +220,17 @@ def test_verify_accepts_a_radius_beyond_float_range(i2_files, capsys):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["metric", "--input", "x", "--out", "y", "--format", "dot"])
-    assert exc.value.code == 2
-    # `verify --out` reports the constants `qi` printed
-    with pytest.raises(SystemExit) as exc:
-        main(["qi", "--input", "x"])
-    assert exc.value.code == 2
+    for args in (
+        ["frobnicate"],
+        ["metric", "--input", "x", "--out", "y", "--format", "dot"],
+        # `verify --out` reports the constants `qi` printed
+        ["qi", "--input", "x"],
+        # no generating set changes what `analyze` prints
+        ["analyze", "--input", "x", "--gens", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2, args
 
 
 def test_readme_lists_every_command():
@@ -231,6 +244,55 @@ def test_readme_lists_every_command():
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
     assert listed == set(sub.choices)
+
+
+def _readme_names(contents):
+    """The backticked identifiers of a README table cell outside brackets,
+    where an interval such as [-N, N) opens with one kind and closes with
+    the other."""
+    depth, names = 0, []
+    for i, part in enumerate(contents.split("`")):
+        if i % 2 == 0:
+            depth += len(re.findall(r"[([]", part)) - len(re.findall(r"[)\]]", part))
+        elif depth == 0:
+            found = re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", part)
+            if found:
+                names.append(found.group(1))
+    return names
+
+
+def _has(obj, name):
+    fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else ()
+    return hasattr(obj, name) or name in fields
+
+
+def test_readme_module_table_names_only_real_api():
+    # each name in a module row's contents is a package module, an attribute
+    # of one, or an attribute or dataclass field of a class in the row's modules
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [line for line in readme.splitlines() if line.startswith("| `invgeom.")]
+    assert len(rows) >= 8
+    package = {
+        info.name: importlib.import_module(f"invgeom.{info.name}")
+        for info in pkgutil.iter_modules(invgeom.__path__)
+    }
+    for row in rows:
+        _, head, contents, _ = row.split("|")
+        classes = [
+            c for m in re.findall(r"`invgeom\.(\w+)`", head)
+            for c in vars(package[m]).values()
+            if isinstance(c, type) and c.__module__ == f"invgeom.{m}"
+        ]
+        for name in _readme_names(contents):
+            first, *rest = name.split(".")
+            if first in package:
+                owners = [package[first]]
+            else:
+                owners = [o for o in (*package.values(), *classes) if _has(o, first)]
+                owners = [getattr(o, first, None) for o in owners]
+            assert owners, name
+            if rest:
+                assert any(_has(o, rest[0]) for o in owners), name
 
 
 def test_chain_example_emit_and_verify(tmp_path):
@@ -408,7 +470,7 @@ PACKAGE_EXPORTS = {
     " orbit_inequalities orbit_map_qi qi_constants quasi_generators_from_metric"
     " rips_embedding_bounds rips_graph validate_metric_predicates",
     "monoid": "InverseMonoid build_from_tables from_table generate_monoid"
-    " generating_set mulclose natural_leq_matrix trivial_monoid",
+    " generating_set natural_leq_matrix trivial_monoid",
     "partial_bijection": "UNDEFINED PartialBijection compose invert",
     "presheaf": "MetricPresheaf Semilattice cayley_presheaf validate_presheaf",
     "report": "CheckResult Violation",

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from invgeom import (
     RipsGraph,
     cayley_metric,
     cayley_self_action,
+    coboundedness_constant,
     extract_generators,
     from_table,
     orbit_inequalities,
@@ -25,7 +28,7 @@ from invgeom import (
     trivial_monoid,
     validate_metric_predicates,
 )
-from invgeom import geometry
+import invgeom
 from invgeom.action import coset_cover_holds
 from invgeom.families import (
     build_example,
@@ -102,14 +105,17 @@ def test_extract_generators_i3(i3, i3_action):
         assert {i3.dom(v) for v in chain} == {i3.dom(cert.element)}
 
 
-def test_a_passing_extraction_computes_no_closure(i3, i3_action, monkeypatch):
+def test_a_passing_extraction_computes_no_closure(i3, i3_action):
     # every element is a product of its factors, all in the result, so
-    # the result generates without a closure being computed
-    calls = []
-    monkeypatch.setattr(geometry, "mulclose", lambda *args: calls.append(args))
+    # the result generates without a closure being computed; nor does any
+    # other module compute one, as quasi-generation is read off the
+    # components of the Schützenberger graphs
     ex = extract_generators(i3_action, i3.identity, 0)
     assert len(ex.certificates) == i3.order
-    assert calls == []
+    assert "mulclose" not in dir(invgeom)
+    for info in pkgutil.iter_modules(invgeom.__path__):
+        module = importlib.import_module(f"invgeom.{info.name}")
+        assert not hasattr(module, "mulclose"), info.name
 
 
 def test_extract_generators_needs_enough_cobound():
@@ -232,6 +238,30 @@ def test_rips_preconditions(i2, i2_action):
         rips_graph(i2_action, elt(i2, 0, None), 1)
     with pytest.raises(PreconditionError, match="non-negative"):
         rips_graph(i2_action, i2.identity, -1)
+
+
+BASEPOINT_READERS = {
+    "coboundedness_constant": lambda a, x1, word, rips: coboundedness_constant(a, x1),
+    "properness_witness": lambda a, x1, word, rips: properness_witness(a, x1, 1),
+    "extract_generators": lambda a, x1, word, rips: extract_generators(a, x1, 1),
+    "rips_graph": lambda a, x1, word, rips: rips_graph(a, x1, 1),
+    "orbit_inequalities": lambda a, x1, word, rips: orbit_inequalities(a, x1, word),
+    "rips_embedding_bounds": lambda a, x1, word, rips: rips_embedding_bounds(a, x1, rips),
+    "orbit_map_qi": lambda a, x1, word, rips: orbit_map_qi(a, x1, word),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASEPOINT_READERS))
+def test_a_basepoint_outside_the_identity_fiber_is_refused(name, i2, i2_swap, i2_action):
+    # unchecked, point 1 gave orbit_inequalities a clean list,
+    # rips_embedding_bounds spurious rips-finite violations and orbit_map_qi
+    # a finiteness error
+    assert 1 not in i2_action.identity_fiber()
+    word = cayley_metric(i2, [i2_swap])
+    rips = rips_graph(i2_action, i2.identity, 1)
+    with pytest.raises(PreconditionError, match="not in the identity fiber") as info:
+        BASEPOINT_READERS[name](i2_action, 1, word, rips)
+    assert info.value.witness == (1,)
 
 
 def test_rips_fractional_radius_exact(i2, i2_swap, i2_action):

@@ -45,13 +45,12 @@ from invgeom.monoid import (
     _check_associativity,
     _inverse_table,
     generating_set,
-    mulclose,
     row_blocks,
 )
 from invgeom.report import CheckResult, Violation
 from invgeom.verify import check_edge_pairing
 
-from conftest import block_metric, dense, properness_loop
+from conftest import block_metric, dense, mulclose, properness_loop
 
 EXAMPLES = ("trivial", "i1", "i2", "i3", "i4", "chain2_z2", "chain3_z3")
 CASES = [(name, None) for name in EXAMPLES] + [

@@ -14,7 +14,6 @@ from invgeom import (
     build_from_tables,
     from_table,
     generate_monoid,
-    mulclose,
     natural_leq_matrix,
     trivial_monoid,
 )
@@ -37,7 +36,7 @@ from invgeom.monoid import (
 )
 from invgeom.partial_bijection import UNDEFINED, compose, invert
 
-from conftest import enumerate_partial_bijections
+from conftest import enumerate_partial_bijections, mulclose
 
 swap = PartialBijection.transposition(2, 0, 1)
 e0 = PartialBijection.partial_identity(2, [0])

@@ -16,7 +16,7 @@ from invgeom import (
     trivial_monoid,
     validate_presheaf,
 )
-from invgeom.cayley import symmetric_quasi_generators, word_successors
+from invgeom.cayley import symmetrize, word_successors
 from invgeom.extmetric import UNREACHED, bfs, trace_paths
 from invgeom.families import build_example
 
@@ -319,7 +319,7 @@ def test_build_cleans_edges_as_the_loop(case):
 def test_cayley_presheaf_keeps_the_edges_of_the_loop(name):
     built = build_example(name)
     monoid = built.monoid
-    sym = symmetric_quasi_generators(monoid, built.quasi_generators)
+    sym = symmetrize(monoid, built.quasi_generators)
     succ = word_successors(monoid, sym, within_class=True)
     edges = [
         (int(s), int(succ[s, j]), sym[j])
